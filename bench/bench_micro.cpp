@@ -10,6 +10,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/binio.hpp"
+#include "common/crc32_oracle.hpp"
 #include "common/rng.hpp"
 #include "core/calibration.hpp"
 #include "core/parallel.hpp"
@@ -449,6 +451,36 @@ void BM_ClassFoldI64Avx2(benchmark::State& state) {
   class_fold_i64_bench(state, sca::DispatchLevel::kAvx2);
 }
 BENCHMARK(BM_ClassFoldI64Avx2);
+
+// --- CRC-32: the integrity layer under every persisted format --------
+//
+// Every store, checkpoint and snapshot is CRC'd on write and again on
+// open, so this rate bounds the `io` layer. The byte-table oracle (the
+// pre-dispatch product path, now kept under tests/) prices what the
+// dispatched kernel saves, at a cache-resident 1 MiB and a 64 MiB
+// buffer that streams from memory like a real store.
+
+void crc32_bench(benchmark::State& state,
+                 std::uint32_t (*fn)(std::uint32_t, const std::uint8_t*,
+                                     std::size_t)) {
+  const auto size = static_cast<std::size_t>(state.range(0)) << 20;
+  std::vector<std::uint8_t> buf(size);
+  Xoshiro256 rng(0xc12c);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fn(0, buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+
+void BM_Crc32Oracle(benchmark::State& state) {
+  crc32_bench(state, &oracle::oracle_crc32_update);
+}
+BENCHMARK(BM_Crc32Oracle)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) { crc32_bench(state, &crc32_update); }
+BENCHMARK(BM_Crc32)->Arg(1)->Arg(64)->Unit(benchmark::kMillisecond);
 
 // --- RNG contract v2: per-trace stream derivation and pipelining -------
 //

@@ -1019,7 +1019,7 @@ CampaignResult CpaCampaign::run() {
         } else {
           engine.save(acc);
         }
-        sh.accumulator = acc.bytes();
+        sh.accumulator = acc.take();
         ck.shard_state.push_back(std::move(sh));
         ck.progress = result.progress;
         const std::size_t bytes = save_checkpoint(cfg_.checkpoint_dir, ck);
@@ -1482,7 +1482,7 @@ FullKeyRunResult CpaCampaign::run_fullkey(const FullKeyConfig& fk) {
         }
         ByteWriter accw;
         acc.save(accw);
-        sh.accumulator = accw.bytes();
+        sh.accumulator = accw.take();
         ck.shard_state.push_back(std::move(sh));
         ck.fullkey_bytes.reserve(kBytes);
         for (std::size_t j = 0; j < kBytes; ++j) {

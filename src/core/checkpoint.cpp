@@ -43,6 +43,13 @@ sca::CpaProgressPoint get_progress_point(ByteReader& in) {
 
 ByteWriter serialize_payload(const CampaignCheckpoint& ck) {
   ByteWriter out;
+  // The accumulator blobs are nearly all of a checkpoint; the small
+  // fields and progress tables ride on the slack.
+  std::size_t blobs = 0;
+  for (const CheckpointShard& sh : ck.shard_state) {
+    blobs += sh.accumulator.size();
+  }
+  out.reserve(blobs + (std::size_t{1} << 16));
   out.put_u64(ck.seed);
   out.put_u64(ck.total_traces);
   out.put_u32(ck.mode);

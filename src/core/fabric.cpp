@@ -156,18 +156,18 @@ std::size_t save_snapshot(const std::string& path,
     SLM_REQUIRE(!ec, "snapshot: cannot create directory '" +
                          parent.string() + "'");
   }
-  ByteWriter payload;
-  put_identity(payload, snap.id);
-  payload.put_u32(snap.id.fingerprint());
-  payload.put_u64(snap.ranges.size());
+  ByteWriter head;
+  put_identity(head, snap.id);
+  head.put_u32(snap.id.fingerprint());
+  head.put_u64(snap.ranges.size());
   for (const TraceRange& r : snap.ranges) {
-    payload.put_u64(r.begin);
-    payload.put_u64(r.end);
+    head.put_u64(r.begin);
+    head.put_u64(r.end);
   }
-  payload.put_u64(snap.accumulator.size());
-  payload.put_bytes(snap.accumulator.data(), snap.accumulator.size());
+  head.put_u64(snap.accumulator.size());
+  // The accumulator blob is written from where it lies, not copied.
   return write_framed_file(path, kSnapMagic, kSnapshotVersion,
-                           payload.bytes(), "snapshot");
+                           {head.bytes(), snap.accumulator}, "snapshot");
 }
 
 AccumulatorSnapshot load_snapshot(const std::string& path) {
@@ -325,7 +325,7 @@ AccumulatorSnapshot merge_snapshots(
       break;
     }
   }
-  out.accumulator = acc_out.bytes();
+  out.accumulator = acc_out.take();
   return out;
 }
 
@@ -541,7 +541,7 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
     } else {
       engine.save(acc);
     }
-    snap.accumulator = acc.bytes();
+    snap.accumulator = acc.take();
     const double s0 = obs::monotonic_seconds();
     const std::size_t bytes = save_snapshot(job.snapshot_out, snap);
     if (ob != nullptr) {

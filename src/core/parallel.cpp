@@ -816,7 +816,7 @@ CampaignResult ParallelCampaign::run_sharded() {
         } else {
           sh.engine.save(acc);
         }
-        cs.accumulator = acc.bytes();
+        cs.accumulator = acc.take();
         ck.shard_state.push_back(std::move(cs));
       }
       ck.progress = result.progress;
@@ -1498,7 +1498,7 @@ FullKeyRunResult ParallelCampaign::run_fullkey_sharded(
         }
         ByteWriter acc;
         sh.mb.save(acc);
-        cs.accumulator = acc.bytes();
+        cs.accumulator = acc.take();
         ck.shard_state.push_back(std::move(cs));
       }
       ck.fullkey_bytes.reserve(kBytes);

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "core/attack.hpp"
 #include "core/checkpoint.hpp"
@@ -41,17 +42,15 @@ std::string hexfloat(double v) {
   return buf;
 }
 
-/// Atomic write: result.json appearing at all means the job finished —
-/// a daemon killed mid-write leaves only the tmp file, and the restart
-/// recovery scan reruns the job from its checkpoint.
+/// Atomic write (binio's temp-file-and-rename helper): result.json
+/// appearing at all means the job finished — a daemon killed mid-write
+/// leaves only its temp file, and the restart recovery scan reruns the
+/// job from its checkpoint.
 void write_atomic(const std::string& path, const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw Error("serve: cannot write '" + tmp + "'");
-    os << body << '\n';
-  }
-  fs::rename(tmp, path);
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(body.data());
+  const std::uint8_t newline = '\n';
+  write_file_atomic(path, {ByteSpan(bytes, body.size()), ByteSpan(&newline, 1)},
+                    "serve");
 }
 
 /// The deterministic outcome record of one job. Excludes everything

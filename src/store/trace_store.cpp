@@ -155,19 +155,16 @@ TraceStoreWriter::FinalizeStats TraceStoreWriter::finalize() {
   const auto* readings_bytes =
       reinterpret_cast<const std::uint8_t*>(readings_.data());
 
-  ByteWriter payload;
-  identity_.save(payload);
-  payload.put_u64(chunk_traces_);
-  payload.put_u64(chunks);
-  payload.put_u64(resolved_single_bit_);
-  payload.put_u32(capture_threads_);
-  payload.put_u32(0);  // pad to kHeaderBytes (8-aligns the readings column)
-  SLM_ASSERT(payload.size() == kHeaderBytes, "trace store header size drift");
+  ByteWriter header;
+  identity_.save(header);
+  header.put_u64(chunk_traces_);
+  header.put_u64(chunks);
+  header.put_u64(resolved_single_bit_);
+  header.put_u32(capture_threads_);
+  header.put_u32(0);  // pad to kHeaderBytes (8-aligns the readings column)
+  SLM_ASSERT(header.size() == kHeaderBytes, "trace store header size drift");
 
-  payload.put_bytes(readings_bytes, readings_.size() * sizeof(double));
-  payload.put_bytes(pt_.data(), pt_.size());
-  payload.put_bytes(ct_.data(), ct_.size());
-
+  ByteWriter index;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t first = c * chunk_traces_;
     const std::size_t rows = std::min(chunk_traces_, n - first);
@@ -178,14 +175,20 @@ TraceStoreWriter::FinalizeStats TraceStoreWriter::finalize() {
                        rows * kBlockBytes);
     crc = crc32_update(crc, ct_.data() + first * kBlockBytes,
                        rows * kBlockBytes);
-    payload.put_u64(first);
-    payload.put_u64(rows);
-    payload.put_u32(crc);
+    index.put_u64(first);
+    index.put_u64(rows);
+    index.put_u32(crc);
   }
 
+  // The columns go to the file straight from their slabs: the payload
+  // is never assembled in memory.
   FinalizeStats stats;
-  stats.bytes_written = write_framed_file(path_, kStoreMagic, kStoreVersion,
-                                          payload.bytes(), "trace store");
+  stats.bytes_written = write_framed_file(
+      path_, kStoreMagic, kStoreVersion,
+      {header.bytes(),
+       ByteSpan(readings_bytes, readings_.size() * sizeof(double)), pt_, ct_,
+       index.bytes()},
+      "trace store");
   stats.traces = n;
   stats.chunks = chunks;
   return stats;

@@ -1,0 +1,34 @@
+// Byte-at-a-time CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320):
+// the reference the dispatched common/binio kernels are checked against
+// (tests/common/crc32_test.cpp) and priced against (bench_micro
+// BM_Crc32). It lives only here; the product never runs it.
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+
+namespace slm::oracle {
+
+inline std::uint32_t oracle_crc32_update(std::uint32_t crc,
+                                         const std::uint8_t* data,
+                                         std::size_t size) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = crc ^ 0xffffffffu;
+  for (std::size_t i = 0; i < size; ++i) {
+    c = table[(c ^ data[i]) & 0xffu] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+}  // namespace slm::oracle

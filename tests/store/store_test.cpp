@@ -440,6 +440,47 @@ TEST_F(StoreFormatTest, FlippedPayloadByteThrowsFormatError) {
   EXPECT_THROW(TraceStoreReader reader(path_), StoreFormatError);
 }
 
+TEST_F(StoreFormatTest, ChunkCrcCatchesFlipBehindValidEnvelope) {
+  // A flipped column byte is normally caught by the envelope CRC first.
+  // Re-stamping the envelope CRC over the corrupted payload leaves the
+  // chunk CRCs as the only line of defence, so each column's flip must
+  // be caught by its chunk check on its own.
+  constexpr std::size_t kEnvelope = 24;
+  constexpr std::size_t kHeader = 80;
+  std::size_t n = 0;
+  std::size_t samples = 0;
+  {
+    TraceStoreReader clean(path_);
+    n = clean.trace_count();
+    samples = clean.samples();
+  }
+  const std::size_t readings_off = kEnvelope + kHeader;
+  const std::size_t pt_off = readings_off + n * samples * sizeof(double);
+  const std::size_t ct_off = pt_off + n * 16;
+  const struct {
+    const char* column;
+    std::size_t offset;
+  } flips[] = {{"readings", readings_off + n * samples * sizeof(double) / 2},
+               {"pt", pt_off + n * 8 + 3},
+               {"ct", ct_off + n * 8 + 5}};
+  for (const auto& flip : flips) {
+    auto bad = bytes_;
+    ASSERT_LT(flip.offset, bad.size()) << flip.column;
+    bad[flip.offset] ^= 0x10;
+    const std::uint32_t crc =
+        crc32(bad.data() + kEnvelope, bad.size() - kEnvelope);
+    std::memcpy(bad.data() + 20, &crc, sizeof crc);  // little-endian host
+    spit(path_, bad);
+    try {
+      TraceStoreReader reader(path_);
+      ADD_FAILURE() << flip.column << ": flip went undetected";
+    } catch (const StoreFormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos)
+          << flip.column << ": " << e.what();
+    }
+  }
+}
+
 TEST_F(StoreFormatTest, FlippedEnvelopeCrcThrowsFormatError) {
   auto bad = bytes_;
   bad[20] ^= 0x01;  // envelope CRC bytes at offset 20..23

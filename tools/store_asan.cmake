@@ -5,7 +5,10 @@
 # view handed to the folding kernels, and the refusal paths for a
 # corrupted and a truncated store must stay inside the mapping. An
 # out-of-bounds read aborts the process (halt_on_error=1, exitcode=66)
-# and fails the test. Skips gracefully when the toolchain lacks ASan.
+# and fails the test. The same tree also builds and runs crc32_test,
+# so the PCLMULQDQ CRC kernel's unaligned loads and table-walk tails
+# (which every store open and write runs) are checked under ASan too.
+# Skips gracefully when the toolchain lacks ASan.
 #
 # Usage: cmake -DREPO=<source root> -DWORKDIR=<scratch dir>
 #        -DCXX=<C++ compiler> -P store_asan.cmake
@@ -32,7 +35,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan configure failed:\n${out}\n${err}")
 endif()
 execute_process(COMMAND ${CMAKE_COMMAND} --build ${scratch}/build
-                        --target slm --parallel 4
+                        --target slm crc32_test --parallel 4
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "asan build failed:\n${out}\n${err}")
@@ -40,6 +43,14 @@ endif()
 
 set(slm ${scratch}/build/tools/slm)
 set(ENV{ASAN_OPTIONS} "halt_on_error=1 exitcode=66")
+
+execute_process(COMMAND ${scratch}/build/tests/crc32_test
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR
+          "asan crc32_test -> rc=${rc} (rc 66 means AddressSanitizer "
+          "reported a memory error)\n${out}\n${err}")
+endif()
 
 function(run_slm expect_rc)
   execute_process(COMMAND ${slm} ${ARGN}
@@ -97,4 +108,4 @@ run_slm(14 attack --from-store ${store} --circuit alu --mode tdc
         --key-byte 5 --rng-contract v2)
 
 file(REMOVE ${store} ${bad} ${short})
-message(STATUS "store asan: mmap replay and refusal paths are clean under AddressSanitizer")
+message(STATUS "store asan: CRC kernels, mmap replay and refusal paths are clean under AddressSanitizer")
