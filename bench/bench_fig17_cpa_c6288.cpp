@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   bench::ShapeChecks checks;
   const auto eq =
       bench::compare_kernel_paths(core::BenignCircuit::kC6288x2, cfg);
-  checks.expect("compiled kernels bit-identical to reference path",
+  checks.expect("block kernels bit-identical at block = 1",
                 eq.equivalent);
   bench::write_bench_json("fig17", fig.campaign, cfg, eq,
                           fig.observer.get());

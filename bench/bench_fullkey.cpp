@@ -58,7 +58,7 @@ void write_fullkey_json(const core::StealthyAttack::FullKeyReport& fused,
       "  }\n"
       "}\n",
       fused.threads_used, fused.block_size,
-      core::rng_contract_name(fused.rng_contract), fused.traces_captured,
+      core::rng_contract_name(core::RngContract::kV2), fused.traces_captured,
       fused.capture_seconds,
       fused.capture_seconds > 0.0
           ? static_cast<double>(fused.traces_captured) / fused.capture_seconds

@@ -595,7 +595,7 @@ void gen_compute_bench(benchmark::State& state, bool pipelined) {
 // on a second thread, and the honest comparison is wall clock per
 // block. On a single-core machine the pair reports parity-or-worse —
 // which is exactly why the engine gates the overlap on
-// hardware_concurrency (SLM_PIPELINE overrides).
+// hardware_concurrency.
 void BM_GenComputeSerial(benchmark::State& state) {
   gen_compute_bench(state, false);
 }

@@ -60,7 +60,6 @@ int main() {
   core::StealthyAttack attack(core::BenignCircuit::kC6288x2);
   core::CampaignConfig cfg = attack.byte_campaign_config(
       kKeyByte, traces, core::SensorMode::kTdcFull);
-  cfg.rng_contract = core::RngContract::kV2;
   cfg.store_out = store_path;
   core::CpaCampaign campaign(attack.setup(), cfg);
   const core::CampaignResult live = campaign.run();
@@ -152,14 +151,17 @@ int main() {
   checks.expect("replay progress bit-identical",
                 progress_equal(replay.progress, live.progress));
   checks.expect("replay_speedup >= 3x", replay_speedup >= 3.0);
-  checks.expect("fused sweep beats three sequential sweeps",
-                fused_replay_speedup > 1.0);
   checks.expect("fused attack section bit-identical",
                 fused.has_attack &&
                     fused.attack.recovered_guess == live.recovered_guess &&
                     progress_equal(fused.attack.progress, live.progress));
+  // Two ~50 ms best-of-N timings at the smoke budget are too close to
+  // order reliably on a shared machine; the ratio is printed at every
+  // budget but only asserted at the full one.
   if (bench::full_shape_budget(traces)) {
     checks.expect("key recovered at full budget", live.key_recovered);
+    checks.expect("fused sweep beats three sequential sweeps",
+                  fused_replay_speedup > 1.0);
   }
 
   std::FILE* f = std::fopen("BENCH_store.json", "w");

@@ -27,7 +27,6 @@ KeyByteReport report_from(std::size_t key_byte, const CampaignResult& r) {
   report.selection_seconds = r.selection_seconds;
   report.resumed_from = r.resumed_from;
   report.snapshot_path = r.snapshot_path;
-  report.rng_contract = r.rng_contract;
   return report;
 }
 
@@ -90,7 +89,6 @@ KeyByteReport StealthyAttack::recover_key_byte(std::size_t key_byte,
   cfg.halt_after_traces = opts.halt_after_traces;
   cfg.block = opts.block;
   cfg.simd = opts.simd;
-  cfg.rng_contract = opts.rng_contract;
   cfg.pool = opts.pool;
   cfg.store_out = opts.store_out;
   ParallelCampaign campaign(setup_, cfg, threads);
@@ -169,7 +167,6 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
     cfg.halt_after_traces = opts.run.halt_after_traces;
     cfg.block = opts.run.block;
     cfg.simd = opts.run.simd;
-    cfg.rng_contract = opts.run.rng_contract;
     cfg.pool = opts.run.pool;
     cfg.store_out = opts.run.store_out;
     ParallelCampaign campaign(setup_, cfg, threads);
@@ -188,7 +185,6 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
       kb.threads_used = r.threads_used;
       kb.capture_seconds = r.capture_seconds;  // shared capture pass
       kb.block_size = r.block_size;
-      kb.rng_contract = r.rng_contract;
       kb.resumed_from = r.resumed_from;
       kb.snapshot_path = r.snapshot_path;
       report.last_round_key[b] = kb.recovered;
@@ -198,7 +194,6 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
     }
     report.traces_captured = r.traces_run;
     report.block_size = r.block_size;
-    report.rng_contract = r.rng_contract;
     report.resumed_from = r.resumed_from;
     report.snapshot_path = r.snapshot_path;
   } else {
@@ -217,7 +212,6 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
       cfg.target_key_byte = b;
       cfg.block = opts.run.block;
       cfg.simd = opts.run.simd;
-      cfg.rng_contract = opts.run.rng_contract;
       CpaCampaign campaign(local, cfg);
       report.bytes[b] = report_from(b, campaign.run());
     });
@@ -227,7 +221,6 @@ StealthyAttack::FullKeyReport StealthyAttack::recover_full_key(
       report.traces_captured += report.bytes[b].traces;
     }
     report.block_size = report.bytes[0].block_size;
-    report.rng_contract = report.bytes[0].rng_contract;
   }
   report.capture_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

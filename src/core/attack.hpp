@@ -35,10 +35,6 @@ struct KeyByteReport {
   double selection_seconds = 0.0;
   std::size_t resumed_from = 0;
   std::string snapshot_path;
-
-  /// RNG determinism contract the campaign actually ran under (resolved
-  /// from RunOptions::rng_contract / SLM_RNG_CONTRACT; see DESIGN.md §12).
-  RngContract rng_contract = RngContract::kV2;
 };
 
 /// Cross-cutting run options shared by every campaign entry point:
@@ -51,9 +47,6 @@ struct RunOptions {
   std::size_t halt_after_traces = 0;          ///< simulated kill (0 = off)
   std::size_t block = 0;   ///< trace-block size (0 = SLM_BLOCK / default)
   bool simd = true;        ///< false forces the scalar block kernels
-  /// RNG determinism contract (kDefault = SLM_RNG_CONTRACT, else v2);
-  /// `slm attack --rng-contract v1|v2` routes through this.
-  RngContract rng_contract = RngContract::kDefault;
   /// Externally-owned worker pool (borrowed, may be null): shard the
   /// campaign over this pool instead of a private one, overriding the
   /// `threads` knob. How `slm serve` multiplexes many tenants' jobs
@@ -73,7 +66,7 @@ enum class FullKeyMode {
   kFused,
   /// 16 independent single-byte campaigns over the SAME shared capture
   /// config, one fresh platform replica each. Kept as the bit-exactness
-  /// oracle: under contract v2 every byte's CPA sums are bit-identical
+  /// oracle: every byte's CPA sums are bit-identical
   /// to the fused fold's (the capture stream is model-independent).
   kFarmed,
 };
@@ -130,7 +123,6 @@ class StealthyAttack {
     double capture_seconds = 0.0;  ///< wall time of the capture/attack
     unsigned threads_used = 0;
     std::size_t block_size = 0;
-    RngContract rng_contract = RngContract::kV2;
     std::size_t bytes_early_exited = 0;  ///< fused: frozen before budget
     std::size_t resumed_from = 0;        ///< fused: snapshot resume point
     std::string snapshot_path;           ///< fused: last snapshot written
@@ -142,7 +134,7 @@ class StealthyAttack {
   /// CPA sums out of it (sca::MultiByteCpa), with per-byte early exit
   /// once a byte's winning guess and margin stabilize. Under RNG
   /// contract v2 the result is bit-identical for any thread count,
-  /// block size, and SIMD toggle — and per byte to the farmed oracle.
+  /// block size, and SIMD level — and per byte to the farmed oracle.
   FullKeyReport recover_full_key(std::size_t traces,
                                  SensorMode mode = SensorMode::kTdcFull,
                                  unsigned threads = 0);

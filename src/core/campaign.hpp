@@ -48,28 +48,23 @@ enum class SensorMode {
 
 const char* sensor_mode_name(SensorMode m);
 
-/// RNG determinism contract of a campaign (DESIGN.md §7/§12).
-///
-/// v1 — sequential streams: each shard consumes one xoshiro stream in
-/// strict per-trace order, so results depend on (seed, thread count)
-/// and generation is a serial chain.
-///
-/// v2 (default) — counter-keyed per-trace streams: every trace's draws
-/// derive statelessly from (seed, domain, trace_index) via
+/// RNG determinism contract of every campaign (DESIGN.md §7/§12): v2,
+/// counter-keyed per-trace streams. Every trace's draws derive
+/// statelessly from (seed, domain, trace_index) via
 /// Xoshiro256::trace_stream, so results depend on the seed ALONE —
-/// bit-identical across any thread count, block size, and SIMD toggle —
-/// and generation parallelizes/pipelines freely.
+/// bit-identical across any thread count, block size, shard split and
+/// SIMD level — and generation parallelizes/pipelines freely. v2 is the
+/// only contract the engine runs; files stamped with the retired v1 are
+/// refused.
 enum class RngContract {
   kDefault = 0,  ///< resolve via SLM_RNG_CONTRACT, else v2
-  kV1 = 1,
   kV2 = 2,
 };
 
 const char* rng_contract_name(RngContract c);
 
-/// CampaignConfig::rng_contract resolution: an explicit v1/v2 request
-/// wins, else the SLM_RNG_CONTRACT environment variable ("v1"/"1"/
-/// "v2"/"2"; anything else is a loud error), else kV2.
+/// kV2 for any request. SLM_RNG_CONTRACT, when set, must name v2 ("v2"
+/// or "2"); anything else — the retired "v1" included — is a loud error.
 RngContract resolve_contract(RngContract requested);
 
 struct CampaignConfig {
@@ -109,21 +104,13 @@ struct CampaignConfig {
   /// defence; random_current_a = 0 disables it).
   defense::ActiveFenceConfig fence{};
 
-  /// Route capture and CPA accumulation through the compiled fast path
-  /// (timing::CompiledCapture batch kernels + sca::XorClassCpa). Results
-  /// are bit-identical to the reference path (OverclockedCapture +
-  /// CpaEngine::add_trace) — the property suite and the figure benches
-  /// enforce this — so the knob only trades speed; false forces the
-  /// reference implementation.
-  bool compiled_kernels = true;
-
-  /// Trace-block size for the block-batched capture pipeline (see
-  /// DESIGN.md §11): traces are generated RNG-sequentially, then the
-  /// RNG-free kernels (PackedToggleSubset::hw_block, XorClassCpa::
-  /// add_block / CpaEngine::add_traces) run over the whole block. 0 =
-  /// auto (SLM_BLOCK env var, else kDefaultBlockTraces); 1 reproduces
-  /// the exact per-trace loop. Blocks clamp at checkpoint edges, so any
-  /// value yields bit-identical results and snapshots.
+  /// Trace-block size of the capture engine (see DESIGN.md §11): each
+  /// block's traces are generated first, then the RNG-free kernels
+  /// (CycleResponseMatrix::voltages_block, toggle_hw_block, the class-sum
+  /// fold) run over the whole block. 0 = auto (SLM_BLOCK env var, else
+  /// kDefaultBlockTraces); 1 runs the same kernels with one lane. Blocks
+  /// clamp at range and checkpoint edges, so any value yields
+  /// bit-identical results and snapshots.
   std::size_t block = 0;
 
   /// Lane-parallel dispatch for the block kernels. false — or
@@ -136,12 +123,6 @@ struct CampaignConfig {
   bool simd = true;
 
   std::uint64_t seed = 0xc0ffee;
-
-  /// RNG determinism contract (see RngContract above). kDefault resolves
-  /// through SLM_RNG_CONTRACT to v2; `--rng-contract v1` / kV1 reruns
-  /// the sequential-stream physics of the PR 4 era (golden fixtures,
-  /// old checkpoints). Checkpoints refuse cross-contract resume.
-  RngContract rng_contract = RngContract::kDefault;
 
   /// Optional observability hook (metrics, spans, JSONL events). Null is
   /// the documented zero-overhead path: the capture loops only ever test
@@ -156,8 +137,8 @@ struct CampaignConfig {
   std::string checkpoint_dir;
 
   /// Resume from `<checkpoint_dir>/campaign.ckpt` when it exists: the
-  /// campaign restores accumulators, RNG stream positions, victim
-  /// register history, and fence streams, then continues bit-exactly as
+  /// campaign restores the shard accumulators and positions, re-derives
+  /// every stream from (seed, trace index), and continues bit-exactly as
   /// if never interrupted. Missing file = fresh start; corrupt file or
   /// mismatched configuration = loud error.
   bool resume = false;
@@ -180,21 +161,16 @@ struct CampaignConfig {
   /// ParallelCampaign shards over THIS pool instead of constructing a
   /// private one — the `slm serve` daemon multiplexes every tenant's
   /// campaigns over one shared core::ThreadPool this way. The pool's
-  /// size overrides the `threads` knob; under contract v2 the results
-  /// are bit-identical either way (thread count is repro-irrelevant).
+  /// size overrides the `threads` knob; the results are bit-identical
+  /// either way (thread count is repro-irrelevant).
   ThreadPool* pool = nullptr;
 };
 
-struct CampaignResult {
+/// Run metadata shared by byte and full-key campaign results.
+struct CampaignRun {
   SensorMode mode = SensorMode::kBenignHw;
-  std::size_t traces_run = 0;
-  std::uint8_t correct_guess = 0;   ///< true last-round key byte
-  std::uint8_t recovered_guess = 0; ///< CPA winner at the end
-  bool key_recovered = false;
-  sca::MtdResult mtd;
-  std::vector<sca::CpaProgressPoint> progress;
-  std::vector<double> final_max_abs_corr;    ///< per key candidate
-  std::vector<std::size_t> bits_of_interest; ///< kBenignHw only
+  std::size_t traces_run = 0;  ///< shared capture traces (full key: not x16)
+  std::vector<std::size_t> bits_of_interest;  ///< kBenignHw only
   std::vector<double> sample_times_ns;
 
   /// Single-bit index actually used after kAutoBit resolution (single-
@@ -202,9 +178,7 @@ struct CampaignResult {
   std::size_t single_bit = 0;
 
   /// Workers used and campaign wall time (selection pre-pass included),
-  /// for traces/sec reporting in the benches and the CLI. The serial
-  /// CpaCampaign::run fills threads_used = 1; ParallelCampaign overwrites
-  /// with its worker count and its own timer.
+  /// for traces/sec reporting in the benches and the CLI.
   unsigned threads_used = 0;
   double capture_seconds = 0.0;
 
@@ -213,18 +187,13 @@ struct CampaignResult {
   /// checkpoint headers report the block the campaign actually ran with.
   std::size_t block_size = 0;
 
-  /// Effective RNG determinism contract after --rng-contract /
-  /// SLM_RNG_CONTRACT resolution — run metadata like block_size, stamped
-  /// into bench JSON, CLI output, and the checkpoint header.
-  RngContract rng_contract = RngContract::kV2;
-
   /// Phase-time split, filled only when cfg.observer != nullptr (the
-  /// per-trace timers are observer-gated to keep the disabled path
-  /// untouched). kernel = victim + PDN + sensor capture; cpa =
-  /// accumulate / fold / merge; checkpoint_io = snapshot writes. In
-  /// sharded runs kernel/cpa sum worker-thread time (CPU seconds, not
-  /// wall clock). selection_seconds (the bits-of-interest pre-pass) is
-  /// coarse-grained and always filled.
+  /// per-block timers are observer-gated to keep the disabled path
+  /// untouched). kernel = generation + PDN + sensor; cpa = fold / merge;
+  /// checkpoint_io = snapshot writes. With several shards kernel/cpa sum
+  /// worker-thread time (CPU seconds, not wall clock).
+  /// selection_seconds (the bits-of-interest pre-pass) is coarse-grained
+  /// and always filled.
   double kernel_seconds = 0.0;
   double cpa_seconds = 0.0;
   double checkpoint_io_seconds = 0.0;
@@ -234,6 +203,15 @@ struct CampaignResult {
   /// file last written (empty when checkpointing is off).
   std::size_t resumed_from = 0;
   std::string snapshot_path;
+};
+
+struct CampaignResult : CampaignRun {
+  std::uint8_t correct_guess = 0;   ///< true last-round key byte
+  std::uint8_t recovered_guess = 0; ///< CPA winner at the end
+  bool key_recovered = false;
+  sca::MtdResult mtd;
+  std::vector<sca::CpaProgressPoint> progress;
+  std::vector<double> final_max_abs_corr;    ///< per key candidate
 };
 
 /// Knobs of the fused full-key campaign (docs/FULLKEY.md). Early exit is
@@ -274,24 +252,9 @@ struct FullKeyByteResult {
 };
 
 /// Outcome of a fused full-key campaign: one shared capture stream, 16
-/// per-byte CPA results. The shared metadata mirrors CampaignResult.
-struct FullKeyRunResult {
-  SensorMode mode = SensorMode::kBenignHw;
-  std::size_t traces_run = 0;  ///< shared capture traces (not x16)
+/// per-byte CPA results.
+struct FullKeyRunResult : CampaignRun {
   std::array<FullKeyByteResult, 16> bytes;
-  std::vector<std::size_t> bits_of_interest;
-  std::vector<double> sample_times_ns;
-  std::size_t single_bit = 0;
-  unsigned threads_used = 0;
-  double capture_seconds = 0.0;
-  std::size_t block_size = 0;
-  RngContract rng_contract = RngContract::kV2;
-  double kernel_seconds = 0.0;
-  double cpa_seconds = 0.0;
-  double checkpoint_io_seconds = 0.0;
-  double selection_seconds = 0.0;
-  std::size_t resumed_from = 0;
-  std::string snapshot_path;
 
   bool all_recovered() const {
     for (const auto& b : bytes) {
@@ -305,7 +268,8 @@ class CpaCampaign {
  public:
   CpaCampaign(AttackSetup& setup, const CampaignConfig& cfg);
 
-  /// Run the full campaign.
+  /// Run the full campaign on the calling thread (ParallelCampaign with
+  /// one thread; same engine, same results).
   CampaignResult run();
 
   /// Run the fused full-key campaign: ONE capture stream (identical
@@ -314,10 +278,7 @@ class CpaCampaign {
   /// (sca::MultiByteCpa), per-byte folds at checkpoints with optional
   /// early exit. cfg.target_key_byte is ignored; the sampling window
   /// must bracket every byte's leakage cycle (StealthyAttack::
-  /// fullkey_campaign_config builds such a config). Supports both RNG
-  /// contracts, checkpoints/resume/halt, and the block-batched pipeline;
-  /// the serial generate/compute overlap (SLM_PIPELINE) is not wired
-  /// into this path — use threads for full-key throughput.
+  /// fullkey_campaign_config builds such a config).
   FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {});
 
   /// The sampling instants the campaign will use.
@@ -338,74 +299,53 @@ class CpaCampaign {
   sca::WelchTTest run_tvla(std::size_t traces_per_population);
 
   /// The `SLMTRC1` fingerprint this campaign's capture would stamp into
-  /// a store of `traces` traces: (seed, resolved rng contract, trace
-  /// count, CRC-32 of the attack/sensor config). Replay builds the same
+  /// a store of `traces` traces: (seed, rng contract v2, trace count, CRC-32 of the attack/sensor config). Replay builds the same
   /// identity from its own flags and refuses a store that differs.
   store::StoreIdentity store_identity(store::StoreKind kind,
                                       std::size_t traces) const;
 
  private:
-  friend class ParallelCampaign;  // reuses the capture path, shard-wise
-  friend class FabricWorker;      // same capture path over a trace range
+  friend class CaptureKernel;   // the capture engine's kernel
+  friend class CampaignEngine;  // and its driver
+  friend class FabricWorker;    // same engine over a trace range
 
-  void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
-                     Xoshiro256& rng, std::vector<double>& v_out) {
-    make_voltages(enc, rng, v_out, fence_ ? &*fence_ : nullptr);
-  }
-
-  /// Same physics with an explicit fence instance — sharded campaigns
-  /// give every worker its own stateful fence stream. Under contract v2
-  /// the caller passes `fence_rng`, the trace's counter-keyed fence
-  /// stream, and the fence instance is used statelessly; null keeps the
-  /// v1 sequential fence stream.
+  /// Victim currents -> PDN voltages at the sample instants + env noise.
+  /// Capture passes `fence_rng`, the trace's counter-keyed fence stream;
+  /// null draws the fence's own sequential stream (selection, TVLA and
+  /// auto-bit pre-passes, which only ever run on one thread).
   void make_voltages(const crypto::AesDatapathModel::Encryption& enc,
                      Xoshiro256& rng, std::vector<double>& v_out,
-                     defense::ActiveFence* fence,
                      Xoshiro256* fence_rng = nullptr) const;
 
   /// Read the configured sensor at every sample voltage into `y`
-  /// (reference path: per-call sampling).
+  /// (per-call sampling).
   void read_sensor(const std::vector<double>& v,
                    const std::vector<std::size_t>& bits, Xoshiro256& rng,
                    std::vector<double>& y) const;
 
-  /// Precompiled dispatch for read_sensor_fast. Benign modes get a batch
-  /// plan; other modes fall back to the reference per-call loop.
-  struct SensorPlan {
-    sensors::BenignSensorBank::CompiledHwPlan hw;
-    sensors::BenignSensorBank::CompiledBitPlan bit;
-    bool batched = false;
-  };
-  SensorPlan make_sensor_plan(const std::vector<std::size_t>& bits) const;
-
-  /// Compiled read_sensor: bit-exact same readings and RNG consumption,
-  /// batched over the whole voltage vector.
-  void read_sensor_fast(const SensorPlan& plan, const std::vector<double>& v,
-                        const std::vector<std::size_t>& bits, Xoshiro256& rng,
-                        std::vector<double>& y) const;
-
-  /// Resolve kAutoBit / bits-of-interest before a capture loop.
-  void resolve_sensor_bits(CampaignResult* result);
+  /// Resolve kAutoBit / bits-of-interest before a capture loop; returns
+  /// the bits of interest (benign-HW only, else empty).
+  std::vector<std::size_t> resolve_sensor_bits();
 
   AttackSetup& setup_;
   CampaignConfig cfg_;
   std::vector<double> sample_times_;
   pdn::CycleResponseMatrix response_;
-  std::optional<defense::ActiveFence> fence_;
+  /// Mutable: the pre-passes advance its sequential stream; capture only
+  /// reads it (counter-keyed per-trace fence streams).
+  mutable std::optional<defense::ActiveFence> fence_;
 };
 
 /// Default log-spaced checkpoint schedule up to `traces`.
 std::vector<std::size_t> default_checkpoints(std::size_t traces);
 
-/// The sorted checkpoint schedule the serial engines fold at for this
-/// config: `requested` when non-empty, else default_checkpoints(traces).
+/// The sorted checkpoint schedule the engine folds at for this config: `requested` when non-empty, else default_checkpoints(traces).
 /// Store replay folds at the same counts to stay bit-identical.
 std::vector<std::size_t> checkpoint_schedule(
     const std::vector<std::size_t>& requested, std::size_t traces);
 
 /// Finalize a capture's trace-store writer and emit the slm.store.*
-/// write metrics and the store_write event (shared by the serial and
-/// sharded engines).
+/// write metrics and the store_write event.
 void finalize_trace_store(store::TraceStoreWriter& writer,
                           obs::CampaignObserver* observer);
 
@@ -420,7 +360,7 @@ std::size_t resolve_block(std::size_t requested);
 
 /// CampaignConfig::simd resolution: an explicit `false` wins, else the
 /// SLM_SIMD dispatch level decides (the scalar level — SLM_SIMD=0 or
-/// SLM_SIMD=scalar — forces the scalar sensor fallback).
+/// SLM_SIMD=scalar — forces the scalar block kernels).
 bool resolve_simd(bool requested);
 
 }  // namespace slm::core

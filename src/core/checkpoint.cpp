@@ -196,13 +196,9 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& dir) {
 void require_checkpoint_matches(const CampaignCheckpoint& ck,
                                 const CampaignConfig& cfg,
                                 std::uint32_t shards, std::size_t samples,
-                                std::uint32_t rng_contract, bool fullkey) {
-  if (ck.rng_contract != rng_contract) {
-    const auto name = [](std::uint32_t c) {
-      return std::string("v") + std::to_string(c);
-    };
-    throw CheckpointContractMismatch(name(ck.rng_contract),
-                                     name(rng_contract));
+                                bool fullkey) {
+  if (ck.rng_contract != static_cast<std::uint32_t>(RngContract::kV2)) {
+    throw CheckpointContractMismatch("v" + std::to_string(ck.rng_contract));
   }
   SLM_REQUIRE(ck.fullkey == fullkey,
               ck.fullkey
@@ -227,9 +223,9 @@ void require_checkpoint_matches(const CampaignCheckpoint& ck,
               "resume: snapshot was taken for a different CPA target");
   SLM_REQUIRE(ck.single_bit == cfg.single_bit,
               "resume: snapshot was taken for a different sensor bit");
-  SLM_REQUIRE(ck.compiled == cfg.compiled_kernels,
-              "resume: snapshot was taken on the other kernel path "
-              "(SLM_COMPILED mismatch)");
+  SLM_REQUIRE(ck.compiled,
+              "resume: snapshot was taken on the retired reference kernel "
+              "path — start fresh");
   // ck.block is deliberately NOT checked: the trace-block size only tiles
   // the capture loop, so resuming under a different --block / SLM_BLOCK
   // still reproduces the uninterrupted run bit-for-bit (resume_test and

@@ -1,27 +1,17 @@
 // Sharded, deterministic, multi-threaded CPA campaigns.
 //
-// ParallelCampaign splits a trace budget across worker shards. Every
-// shard owns the mutable half of the capture pipeline — a copy of the
-// AES victim model, its own active-fence stream, an independent RNG
-// stream derived from (seed, shard_index) — and feeds a private
-// CpaEngine. The immutable half (netlists, sensors, the PDN response
-// matrix) is shared read-only. At every checkpoint the shard engines
-// are merged (the running sums are plain sums) and a CpaProgressPoint
-// is snapshotted, so the convergence curves of Figs. 9b-18b survive
+// ParallelCampaign runs a campaign on N worker shards through the one
+// capture engine (core/capture.hpp): per checkpoint segment every shard
+// captures a contiguous chunk of the global trace sequence into a
+// private accumulator, and the shards merge in fixed shard order at
+// every checkpoint, so the convergence curves of Figs. 9b-18b survive
 // sharding.
 //
-// Determinism contract (see DESIGN.md §7/§12):
-//   * contract v2 (default)          => bit-identical results for ANY
-//     thread count, block size, and SIMD toggle: every trace's draws
-//     derive statelessly from (seed, trace index), shards own
-//     contiguous chunks of the global trace sequence, and merges happen
-//     in fixed shard order over integer-exact sums;
-//   * contract v1 (--rng-contract v1):
-//       - same seed + same thread count => bit-identical, regardless of
-//         OS scheduling (shard i's traces depend only on (seed, i));
-//       - threads == 1                  => the exact legacy serial path;
-//       - different thread counts       => statistically equivalent but
-//         not bitwise identical (different shard streams).
+// Determinism contract (see DESIGN.md §7/§12): bit-identical results for
+// ANY thread count, block size, and SIMD level — every trace's draws
+// derive statelessly from (seed, trace index) and the merges run over
+// integer-exact sums. Only checkpoint files record the shard count (one
+// accumulator per shard), so resume needs the same --threads.
 #pragma once
 
 #include <cstdint>
@@ -71,17 +61,10 @@ class ThreadPool {
   Impl* impl_;
 };
 
-/// Traces shard `shard` (of `shards`) has captured once `total` traces
-/// are done overall: round-robin assignment (trace t goes to shard
-/// t % shards), so per-shard positions grow monotonically through the
-/// checkpoint schedule and always sum to `total`.
-std::size_t shard_quota(std::size_t total, std::size_t shard,
-                        std::size_t shards);
-
 class ParallelCampaign {
  public:
-  /// `threads` = 0 picks hardware_concurrency; 1 runs the exact serial
-  /// CpaCampaign path.
+  /// `threads` = 0 picks hardware_concurrency; 1 runs on the calling
+  /// thread, exactly as CpaCampaign::run.
   ParallelCampaign(AttackSetup& setup, const CampaignConfig& cfg,
                    unsigned threads = 0);
 
@@ -92,19 +75,14 @@ class ParallelCampaign {
   CampaignResult run();
 
   /// Sharded fused full-key campaign: the shared capture stream is split
-  /// across worker shards exactly like run() (contract v2 = contiguous
-  /// per-checkpoint chunks, v1 = round-robin shard streams), each shard
-  /// feeds a private sca::MultiByteCpa, and the coordinator merges in
-  /// fixed shard order and runs the per-byte folds / early-exit logic at
-  /// checkpoints. threads <= 1 delegates to CpaCampaign::run_fullkey.
-  /// Under contract v2 results are bit-identical for any thread count,
-  /// block size, and SIMD toggle — and per byte to the farmed oracle.
+  /// across worker shards exactly like run(), each shard feeds a private
+  /// sca::MultiByteCpa, and the coordinator merges in fixed shard order
+  /// and runs the per-byte folds / early-exit logic at checkpoints.
+  /// Results are bit-identical for any thread count, block size, and
+  /// SIMD level — and per byte to the farmed oracle.
   FullKeyRunResult run_fullkey(const FullKeyConfig& fk = {});
 
  private:
-  CampaignResult run_sharded();
-  FullKeyRunResult run_fullkey_sharded(const FullKeyConfig& fk);
-
   AttackSetup& setup_;
   CampaignConfig cfg_;
   unsigned threads_;

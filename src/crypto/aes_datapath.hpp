@@ -73,22 +73,12 @@ class AesDatapathModel {
 
   /// The mutable half of the model: the state register shares (which
   /// carry across encryptions and feed the Hamming-distance leakage) and
-  /// the masking RNG position. Campaign checkpoints snapshot and restore
-  /// this so a resumed campaign sees the identical register history.
+  /// the masking RNG position.
   struct RegisterSnapshot {
     Block register_state{};
     Block register_mask{};
     std::array<std::uint64_t, 4> mask_rng_state{};
   };
-  RegisterSnapshot register_snapshot() const {
-    return RegisterSnapshot{register_state_, register_mask_,
-                            mask_rng_.state()};
-  }
-  void restore_registers(const RegisterSnapshot& snap) {
-    register_state_ = snap.register_state;
-    register_mask_ = snap.register_mask;
-    mask_rng_.set_state(snap.mask_rng_state);
-  }
 
   /// Stateless variant for determinism contract v2 (DESIGN.md §12): run
   /// one encryption against a caller-owned register snapshot, advancing

@@ -30,11 +30,11 @@ class ActiveFence {
  public:
   explicit ActiveFence(const ActiveFenceConfig& cfg);
 
-  /// Fence current for the next victim cycle (stateful RNG; determinism
-  /// contract v1 — consecutive traces share one sequential stream).
+  /// Fence current for the next victim cycle from the fence's own
+  /// sequential stream (the campaign pre-passes draw from it).
   double next_cycle_current();
 
-  /// Counter-indexed fence stream for determinism contract v2: the
+  /// Counter-indexed fence stream of the capture engine: the
   /// stream for trace `trace_index`, derived statelessly from the fence
   /// seed via Xoshiro256::trace_stream with the fence domain constant.
   /// Any lane can materialise any trace's fence draws independently.
@@ -44,9 +44,7 @@ class ActiveFence {
   }
 
   /// One cycle's fence current drawn from a caller-owned stream (the
-  /// stateless core both next_cycle_current and the v2 per-trace path
-  /// share, so the per-cycle expression is bit-identical across
-  /// contracts).
+  /// stateless core next_cycle_current and the per-trace path share).
   double cycle_current(Xoshiro256& rng) const {
     return cfg_.base_current_a + rng.uniform() * cfg_.random_current_a;
   }
@@ -57,13 +55,6 @@ class ActiveFence {
   }
 
   const ActiveFenceConfig& config() const { return cfg_; }
-
-  /// Fence noise-stream position, snapshotted by campaign checkpoints so
-  /// a resumed run draws the identical randomised current sequence.
-  std::array<std::uint64_t, 4> rng_state() const { return rng_.state(); }
-  void set_rng_state(const std::array<std::uint64_t, 4>& s) {
-    rng_.set_state(s);
-  }
 
  private:
   ActiveFenceConfig cfg_;

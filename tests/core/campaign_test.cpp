@@ -169,8 +169,8 @@ TEST(Campaign, BlockSizeInvariant) {
 
 // The v2 determinism contract: the seed alone pins the campaign.
 // Results must be bit-identical across ANY thread count, block size,
-// and SIMD toggle — including the serial pipelined producer/consumer
-// path (threads=1, blocked benign-HW) and the sharded chunked engine.
+// and SIMD level — the one engine runs them all (the per-trace oracle in
+// reference_campaign_test.cpp pins the values themselves).
 TEST(Campaign, ThreadAndBlockInvariant) {
   const auto cal = Calibration::paper_defaults();
   auto run_once = [&](SensorMode mode, unsigned threads, std::size_t block,
@@ -178,7 +178,6 @@ TEST(Campaign, ThreadAndBlockInvariant) {
     AttackSetup setup(BenignCircuit::kAlu, cal);
     CampaignConfig cfg = small_cfg(mode, 700);
     cfg.checkpoints = {100, 500, 700};
-    cfg.rng_contract = RngContract::kV2;
     cfg.block = block;
     cfg.simd = simd;
     if (fence) cfg.fence.random_current_a = 0.02;
@@ -198,12 +197,7 @@ TEST(Campaign, ThreadAndBlockInvariant) {
     }
   };
   {
-    // Force the serial engine's generate/compute overlap on so the
-    // producer/consumer path is inside the grid even on a single-core
-    // CI machine (it normally gates on hardware_concurrency).
-    ::setenv("SLM_PIPELINE", "1", 1);
     const auto ref = run_once(SensorMode::kBenignHw, 1, 1, true);
-    EXPECT_EQ(ref.rng_contract, RngContract::kV2);
     for (const unsigned threads : {1u, 2u, 4u}) {
       for (const std::size_t block : {1u, 48u, 64u}) {
         const auto r = run_once(SensorMode::kBenignHw, threads, block, true);
@@ -212,30 +206,18 @@ TEST(Campaign, ThreadAndBlockInvariant) {
                         std::to_string(block));
       }
     }
-    // The SIMD toggle is also inside the contract.
+    // The SIMD level is also inside the contract.
     expect_same(run_once(SensorMode::kBenignHw, 3, 64, false), ref,
                 "hw scalar");
-    // The pipeline gate itself must be bit-neutral: overlapped and
-    // non-overlapped serial runs produce the same accumulators.
-    ::setenv("SLM_PIPELINE", "0", 1);
-    expect_same(run_once(SensorMode::kBenignHw, 1, 64, true), ref,
-                "hw pipeline off");
-    ::unsetenv("SLM_PIPELINE");
   }
   {
     // With the active fence on, the fence's per-trace streams are part
-    // of the contract too — across the pipelined producer, the
-    // non-pipelined blocked path, and the sharded engine.
-    ::setenv("SLM_PIPELINE", "1", 1);
+    // of the contract too.
     const auto ref = run_once(SensorMode::kBenignHw, 1, 1, true, true);
     expect_same(run_once(SensorMode::kBenignHw, 1, 64, true, true), ref,
-                "fenced hw pipelined block 64");
+                "fenced hw block 64");
     expect_same(run_once(SensorMode::kBenignHw, 3, 48, true, true), ref,
                 "fenced hw threads 3 block 48");
-    ::setenv("SLM_PIPELINE", "0", 1);
-    expect_same(run_once(SensorMode::kBenignHw, 1, 64, true, true), ref,
-                "fenced hw pipeline off");
-    ::unsetenv("SLM_PIPELINE");
   }
   {
     const auto ref = run_once(SensorMode::kTdcFull, 1, 1, true);
@@ -247,45 +229,20 @@ TEST(Campaign, ThreadAndBlockInvariant) {
 }
 
 TEST(Campaign, ContractResolution) {
-  // Explicit requests win unconditionally.
-  EXPECT_EQ(resolve_contract(RngContract::kV1), RngContract::kV1);
   EXPECT_EQ(resolve_contract(RngContract::kV2), RngContract::kV2);
-  // kDefault consults SLM_RNG_CONTRACT, else picks v2.
+  // SLM_RNG_CONTRACT may only name v2; the retired v1 is a loud error.
   const char* saved = std::getenv("SLM_RNG_CONTRACT");
   const std::string saved_s = saved != nullptr ? saved : "";
-  ::setenv("SLM_RNG_CONTRACT", "v1", 1);
-  EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV1);
-  EXPECT_EQ(resolve_contract(RngContract::kV2), RngContract::kV2);
   ::setenv("SLM_RNG_CONTRACT", "2", 1);
   EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV2);
+  ::setenv("SLM_RNG_CONTRACT", "v1", 1);
+  EXPECT_THROW((void)resolve_contract(RngContract::kDefault), slm::Error);
   ::setenv("SLM_RNG_CONTRACT", "bogus", 1);
   EXPECT_THROW((void)resolve_contract(RngContract::kDefault), slm::Error);
   ::unsetenv("SLM_RNG_CONTRACT");
   EXPECT_EQ(resolve_contract(RngContract::kDefault), RngContract::kV2);
   if (saved != nullptr) ::setenv("SLM_RNG_CONTRACT", saved_s.c_str(), 1);
-  EXPECT_STREQ(rng_contract_name(RngContract::kV1), "v1");
   EXPECT_STREQ(rng_contract_name(RngContract::kV2), "v2");
-}
-
-// v1 and v2 draw different randomness for the same seed, so their
-// results must differ bitwise while agreeing on the recovered byte.
-TEST(Campaign, ContractsDifferBitwiseAgreePhysically) {
-  const auto cal = Calibration::paper_defaults();
-  auto run_once = [&](RngContract contract) {
-    AttackSetup setup(BenignCircuit::kAlu, cal);
-    CampaignConfig cfg = small_cfg(SensorMode::kTdcFull, 4000);
-    cfg.rng_contract = contract;
-    CpaCampaign campaign(setup, cfg);
-    return campaign.run();
-  };
-  const auto v1 = run_once(RngContract::kV1);
-  const auto v2 = run_once(RngContract::kV2);
-  EXPECT_EQ(v1.rng_contract, RngContract::kV1);
-  EXPECT_EQ(v2.rng_contract, RngContract::kV2);
-  EXPECT_NE(v1.final_max_abs_corr, v2.final_max_abs_corr);
-  EXPECT_TRUE(v1.key_recovered);
-  EXPECT_TRUE(v2.key_recovered);
-  EXPECT_EQ(v1.recovered_guess, v2.recovered_guess);
 }
 
 TEST(Campaign, BlockResolutionPrecedence) {

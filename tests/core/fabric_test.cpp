@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -37,7 +38,6 @@ CampaignConfig small_cfg(SensorMode mode, std::size_t traces) {
   cfg.traces = traces;
   cfg.checkpoints = {100, 200, 350, traces};
   cfg.selection_traces = 300;
-  cfg.rng_contract = RngContract::kV2;
   return cfg;
 }
 
@@ -364,12 +364,12 @@ TEST(FabricWorkerTest, IntermediateSnapshotsHaltAndResumeBitExact) {
 
 TEST(FabricWorkerTest, RejectsContractV1AndBadRanges) {
   CampaignConfig cfg = small_cfg(SensorMode::kTdcFull, 400);
-  cfg.rng_contract = RngContract::kV1;
+  // SLM_RNG_CONTRACT can no longer select the retired v1: loud error.
+  ::setenv("SLM_RNG_CONTRACT", "v1", 1);
   AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-  FabricWorker v1(setup, cfg, false);
-  EXPECT_THROW(v1.identity(), Error);
+  EXPECT_THROW(FabricWorker(setup, cfg, false), Error);
+  ::unsetenv("SLM_RNG_CONTRACT");
 
-  cfg.rng_contract = RngContract::kV2;
   AttackSetup setup2(BenignCircuit::kAlu, Calibration::paper_defaults());
   FabricWorker worker(setup2, cfg, false);
   FabricJob job;

@@ -2,11 +2,12 @@
 // feeding all 16 byte folds must be bit-identical (a) per byte to the
 // farmed oracle — 16 independent single-byte campaigns over the SAME
 // shared config on fresh platform replicas — and (b) to itself for any
-// thread count, block size, and SIMD toggle under contract v2, and
+// thread count, block size, and SIMD level, and
 // (c) across a kill/resume pair on a full-key snapshot. Early exit may
 // only ever change WHEN a byte's answer is frozen, never what the
 // accumulators contain. See docs/FULLKEY.md.
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,8 +68,8 @@ void expect_byte_results_identical(const FullKeyRunResult& a,
 
 // (a) Farmed oracle: each byte's fused fold must equal, bit for bit, a
 // standalone single-byte campaign over the same shared config on a
-// fresh platform replica — the capture stream is model-independent
-// under contract v2, so regrouping it per byte changes nothing.
+// fresh platform replica — the capture stream is model-independent, so
+// regrouping it per byte changes nothing.
 TEST(FullKeyFused, MatchesFarmedOracleBitForBit) {
   const CampaignConfig shared = fullkey_cfg(1200);
   FullKeyConfig fk;
@@ -111,15 +112,6 @@ TEST(FullKeyFused, InvariantUnderThreadsBlockSimd) {
   cfg.simd = true;
   const FullKeyRunResult simd4 = run_fused(cfg, 4);
   expect_byte_results_identical(serial, simd4);
-}
-
-// The reference (uncompiled) sensor path feeds the same accumulator.
-TEST(FullKeyFused, ReferencePathMatchesCompiledKernels) {
-  CampaignConfig cfg = fullkey_cfg(700);
-  const FullKeyRunResult compiled = run_fused(cfg, 1);
-  cfg.compiled_kernels = false;
-  const FullKeyRunResult reference = run_fused(cfg, 1);
-  expect_byte_results_identical(compiled, reference);
 }
 
 // Early exit freezes answers, never accumulators: the recovered key must
@@ -184,12 +176,15 @@ TEST(FullKeyFused, SnapshotIdentityChecks) {
     ParallelCampaign campaign(setup, cfg, 2);
     EXPECT_THROW(campaign.run(), slm::Error);
   }
-  // Cross-contract resume: typed mismatch, exit-code-6 path in the CLI.
+  // A snapshot stamped with the retired contract v1: typed mismatch,
+  // the exit-code-6 path in the CLI.
   {
-    CampaignConfig v1 = cfg;
-    v1.rng_contract = RngContract::kV1;
+    std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
+    ASSERT_TRUE(ck.has_value());
+    ck->rng_contract = 1;
+    save_checkpoint(dir, *ck);
     AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-    ParallelCampaign campaign(setup, v1, 2);
+    ParallelCampaign campaign(setup, cfg, 2);
     EXPECT_THROW(campaign.run_fullkey(), CheckpointContractMismatch);
   }
 }

@@ -19,23 +19,6 @@ CampaignConfig small_cfg(SensorMode mode, std::size_t traces) {
   return cfg;
 }
 
-TEST(ShardQuota, SumsToTotalAndMonotone) {
-  for (std::size_t shards : {1u, 3u, 4u, 7u}) {
-    std::vector<std::size_t> prev(shards, 0);
-    for (std::size_t total : {0u, 1u, 5u, 99u, 100u, 1234u}) {
-      std::size_t sum = 0;
-      for (std::size_t i = 0; i < shards; ++i) {
-        const std::size_t q = shard_quota(total, i, shards);
-        EXPECT_GE(q, prev[i]) << "shard " << i << " total " << total;
-        prev[i] = q;
-        sum += q;
-      }
-      EXPECT_EQ(sum, total) << "shards " << shards;
-    }
-  }
-  EXPECT_THROW((void)shard_quota(10, 2, 2), slm::Error);
-}
-
 TEST(ThreadPoolTest, RunsEveryIndexAcrossWorkers) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
@@ -165,29 +148,6 @@ TEST(ParallelCampaignTest, SameSeedSameThreadsIsDeterministic) {
     EXPECT_EQ(a.progress[i].traces, b.progress[i].traces);
     EXPECT_EQ(a.progress[i].max_abs_corr, b.progress[i].max_abs_corr);
   }
-}
-
-// Pinned legacy behaviour: under contract v1 the shard streams differ
-// per thread count, so results are statistically equivalent but NOT
-// bitwise equal. (Contract v2 removes exactly this caveat — see
-// Campaign.ThreadAndBlockInvariant in campaign_test.cpp.)
-TEST(ParallelCampaignTest, V1ThreadCountsAreStatisticallyNotBitwiseEqual) {
-  const auto cal = Calibration::paper_defaults();
-  auto run_with = [&](unsigned threads) {
-    AttackSetup setup(BenignCircuit::kAlu, cal);
-    auto cfg = small_cfg(SensorMode::kTdcFull, 2000);
-    cfg.rng_contract = RngContract::kV1;
-    ParallelCampaign campaign(setup, cfg, threads);
-    return campaign.run();
-  };
-  const auto two = run_with(2);
-  const auto three = run_with(3);
-  // Different shard streams: bitwise different...
-  EXPECT_NE(two.final_max_abs_corr, three.final_max_abs_corr);
-  // ...but the physics is the same: both disclose the same key byte.
-  EXPECT_TRUE(two.key_recovered);
-  EXPECT_TRUE(three.key_recovered);
-  EXPECT_EQ(two.recovered_guess, three.recovered_guess);
 }
 
 TEST(ParallelCampaignTest, MoreShardsThanTracesClamps) {

@@ -1,7 +1,7 @@
 // Crash-safe checkpoint/resume: kill a campaign at a checkpoint, resume
 // it, and require results bit-identical to the uninterrupted run — the
 // acceptance criterion of the checkpointing subsystem, for both the
-// serial and the sharded campaign and both kernel paths.
+// serial and the sharded campaign.
 #include "core/checkpoint.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -171,25 +172,6 @@ TEST(ResumeTest, SerialKillAtCheckpointResumesBitExact) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ResumeTest, SerialReferenceKernelPathResumesBitExact) {
-  const std::string dir = fresh_dir("ckpt_serial_ref");
-  auto cfg = small_cfg(SensorMode::kTdcFull, 400);
-  cfg.compiled_kernels = false;  // CpaEngine accumulator, not XorClassCpa
-
-  const auto uninterrupted = run_serial(cfg);
-
-  cfg.checkpoint_dir = dir;
-  cfg.halt_after_traces = 100;
-  EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
-
-  cfg.halt_after_traces = 0;
-  cfg.resume = true;
-  const auto resumed = run_serial(cfg);
-  EXPECT_EQ(resumed.resumed_from, 100u);
-  expect_bit_identical(uninterrupted, resumed);
-  std::filesystem::remove_all(dir);
-}
-
 // The benign-HW mode exercises the selection pre-pass before capture and
 // (by default config) the active fence stream; both must survive the
 // kill/resume cycle.
@@ -306,75 +288,44 @@ TEST(ResumeTest, MismatchedConfigurationRefusesToResume) {
   wrong_budget.checkpoints = {100, 200, 350, 600};
   EXPECT_THROW((void)run_serial(wrong_budget), slm::Error);
 
-  auto wrong_kernels = cfg;
-  wrong_kernels.compiled_kernels = false;
-  EXPECT_THROW((void)run_serial(wrong_kernels), slm::Error);
-
   // A snapshot taken serially cannot seed a 3-shard run.
   EXPECT_THROW((void)run_parallel(cfg, 3), slm::Error);
+
+  // Nor can one stamped by the retired reference kernel path.
+  std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
+  ASSERT_TRUE(ck.has_value());
+  ck->compiled = false;
+  save_checkpoint(dir, *ck);
+  EXPECT_THROW((void)run_serial(cfg), slm::Error);
   std::filesystem::remove_all(dir);
 }
 
-// A snapshot written under one RNG contract must refuse to continue
-// under the other — the trace streams differ from the first draw, so a
-// silent cross-contract resume would diverge from both uninterrupted
-// runs. The refusal is the dedicated CheckpointContractMismatch error
-// (the CLI maps it to exit code 6), in both directions.
-TEST(ResumeTest, CrossContractResumeRefused) {
-  for (const auto written : {RngContract::kV1, RngContract::kV2}) {
-    const std::string dir = fresh_dir("ckpt_contract");
-    auto cfg = small_cfg(SensorMode::kTdcFull, 500);
-    cfg.rng_contract = written;
-    cfg.checkpoint_dir = dir;
-    cfg.halt_after_traces = 200;
-    EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
-    {
-      const auto ck = load_checkpoint(dir);
-      ASSERT_TRUE(ck.has_value());
-      EXPECT_EQ(ck->rng_contract,
-                written == RngContract::kV1 ? 1u : 2u);
-    }
+// A snapshot stamped with the retired RNG contract v1 must refuse to
+// continue: its trace streams differ from v2's from the first draw, so a
+// silent resume would diverge. The refusal is the dedicated
+// CheckpointContractMismatch error (the CLI maps it to exit code 6).
+TEST(ResumeTest, V1StampedSnapshotRefused) {
+  const std::string dir = fresh_dir("ckpt_contract");
+  auto cfg = small_cfg(SensorMode::kTdcFull, 500);
+  cfg.checkpoint_dir = dir;
+  cfg.halt_after_traces = 200;
+  EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
+  std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
+  ASSERT_TRUE(ck.has_value());
+  EXPECT_EQ(ck->rng_contract, 2u);
 
-    cfg.halt_after_traces = 0;
-    cfg.resume = true;
-    cfg.rng_contract =
-        written == RngContract::kV1 ? RngContract::kV2 : RngContract::kV1;
-    EXPECT_THROW((void)run_serial(cfg), CheckpointContractMismatch);
-    EXPECT_THROW((void)run_parallel(cfg, 1), CheckpointContractMismatch);
+  cfg.halt_after_traces = 0;
+  cfg.resume = true;
+  ck->rng_contract = 1;
+  save_checkpoint(dir, *ck);
+  EXPECT_THROW((void)run_serial(cfg), CheckpointContractMismatch);
+  EXPECT_THROW((void)run_parallel(cfg, 1), CheckpointContractMismatch);
 
-    // Matching the snapshot's contract resumes fine.
-    cfg.rng_contract = written;
-    const auto resumed = run_serial(cfg);
-    EXPECT_EQ(resumed.resumed_from, 200u);
-    EXPECT_EQ(resumed.rng_contract, written);
-    std::filesystem::remove_all(dir);
-  }
-}
-
-// v1 snapshots still carry full stream state (RNG, victim registers,
-// fence stream); the legacy kill/resume cycle must stay bit-exact for
-// both engines with the fence's randomised component on.
-TEST(ResumeTest, V1KillResumeStaysBitExact) {
-  for (const unsigned threads : {1u, 3u}) {
-    const std::string dir = fresh_dir("ckpt_v1");
-    auto cfg = small_cfg(SensorMode::kBenignHw, 500);
-    cfg.rng_contract = RngContract::kV1;
-    cfg.fence.random_current_a = 0.02;
-
-    const auto uninterrupted = run_parallel(cfg, threads);
-    EXPECT_EQ(uninterrupted.rng_contract, RngContract::kV1);
-
-    cfg.checkpoint_dir = dir;
-    cfg.halt_after_traces = 200;
-    EXPECT_THROW((void)run_parallel(cfg, threads), CampaignHalted);
-
-    cfg.halt_after_traces = 0;
-    cfg.resume = true;
-    const auto resumed = run_parallel(cfg, threads);
-    EXPECT_EQ(resumed.resumed_from, 200u);
-    expect_bit_identical(uninterrupted, resumed);
-    std::filesystem::remove_all(dir);
-  }
+  ck->rng_contract = 2;
+  save_checkpoint(dir, *ck);
+  const auto resumed = run_serial(cfg);
+  EXPECT_EQ(resumed.resumed_from, 200u);
+  std::filesystem::remove_all(dir);
 }
 
 // Under v2 the snapshot carries no stream state at all: a run killed
@@ -384,7 +335,6 @@ TEST(ResumeTest, V1KillResumeStaysBitExact) {
 TEST(ResumeTest, V2KillResumeAcrossBlockSizesBitExact) {
   const std::string dir = fresh_dir("ckpt_v2_block");
   auto cfg = small_cfg(SensorMode::kBenignHw, 500);
-  cfg.rng_contract = RngContract::kV2;
 
   cfg.block = 1;
   const auto uninterrupted = run_parallel(cfg, 2);

@@ -2,15 +2,14 @@
 //
 // Fixed-seed campaign snapshots (kBenignHw / kBenignSingleBit / kTdcFull)
 // and raw sensor toggle words over a deterministic voltage ramp, stored
-// as hexfloat text in tests/regression/fixtures/golden_traces.txt. Any
-// change to the capture physics, the RNG stream accounting, the compiled
-// kernels or the CPA accumulation shifts these doubles and fails the
-// diff — run with SLM_REGEN_GOLDEN=1 to regenerate after an intentional
-// change, and justify the new fixture in the commit.
+// as hexfloat text in tests/regression/fixtures/golden_traces_v2.txt.
+// Any change to the capture physics, the RNG stream accounting, the
+// capture kernels or the CPA accumulation shifts these doubles and fails
+// the diff — run with SLM_REGEN_GOLDEN=1 to regenerate after an
+// intentional change, and justify the new fixture in the commit.
 //
 // Doubles are serialized with printf %a (hexfloat): round-trip exact, so
-// the comparison is bit-for-bit, matching the repo's bit-exactness
-// contract between the compiled and reference capture paths.
+// the comparison is bit-for-bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,14 +25,10 @@
 namespace slm {
 namespace {
 
-// One fixture file per RNG determinism contract: golden_traces.txt pins
-// the legacy v1 draws byte-identically to the pre-v2 releases, and
-// golden_traces_v2.txt pins the counter-keyed v2 draws (DESIGN.md §12).
-std::string fixture_path(core::RngContract contract) {
+// The fixture pins the counter-keyed v2 draws (DESIGN.md §12).
+std::string fixture_path() {
   return std::string(SLM_REPO_ROOT) +
-         (contract == core::RngContract::kV1
-              ? "/tests/regression/fixtures/golden_traces.txt"
-              : "/tests/regression/fixtures/golden_traces_v2.txt");
+         "/tests/regression/fixtures/golden_traces_v2.txt";
 }
 
 void append_hex(std::string& out, const char* key, double v) {
@@ -49,14 +44,12 @@ void append_u64(std::string& out, const char* key, std::uint64_t v) {
   out += buf;
 }
 
-core::CampaignConfig golden_cfg(core::SensorMode mode,
-                                core::RngContract contract) {
+core::CampaignConfig golden_cfg(core::SensorMode mode) {
   core::CampaignConfig cfg;
   cfg.mode = mode;
   cfg.traces = 200;
   cfg.checkpoints = {100, 200};
   cfg.selection_traces = 400;
-  cfg.rng_contract = contract;
   if (mode == core::SensorMode::kBenignSingleBit) {
     cfg.single_bit = core::CampaignConfig::kAutoBit;
   }
@@ -64,10 +57,10 @@ core::CampaignConfig golden_cfg(core::SensorMode mode,
 }
 
 void append_campaign(std::string& out, core::SensorMode mode,
-                     core::RngContract contract, const char* tag) {
+                     const char* tag) {
   core::AttackSetup setup(core::BenignCircuit::kAlu,
                           core::Calibration::paper_defaults());
-  core::CpaCampaign campaign(setup, golden_cfg(mode, contract));
+  core::CpaCampaign campaign(setup, golden_cfg(mode));
   const core::CampaignResult r = campaign.run();
   out += "[campaign ";
   out += tag;
@@ -123,20 +116,20 @@ void append_sensor_words(std::string& out) {
   }
 }
 
-std::string current_snapshot(core::RngContract contract) {
+std::string current_snapshot() {
   std::string out;
   out += "# Golden trace fixtures - regenerate with SLM_REGEN_GOLDEN=1\n";
-  append_campaign(out, core::SensorMode::kBenignHw, contract, "benign_hw");
-  append_campaign(out, core::SensorMode::kBenignSingleBit, contract,
+  append_campaign(out, core::SensorMode::kBenignHw, "benign_hw");
+  append_campaign(out, core::SensorMode::kBenignSingleBit,
                   "benign_single_bit");
-  append_campaign(out, core::SensorMode::kTdcFull, contract, "tdc_full");
+  append_campaign(out, core::SensorMode::kTdcFull, "tdc_full");
   append_sensor_words(out);
   return out;
 }
 
-void check_fixture(core::RngContract contract) {
-  const std::string path = fixture_path(contract);
-  const std::string now = current_snapshot(contract);
+void check_fixture() {
+  const std::string path = fixture_path();
+  const std::string now = current_snapshot();
   if (std::getenv("SLM_REGEN_GOLDEN") != nullptr) {
     std::ofstream f(path, std::ios::trunc);
     ASSERT_TRUE(f.good()) << "cannot write " << path;
@@ -168,15 +161,7 @@ void check_fixture(core::RngContract contract) {
   }
 }
 
-// The v1 fixture is byte-identical to the pre-v2 releases: the legacy
-// contract replays the exact historical RNG consumption order.
-TEST(GoldenTrace, V1SnapshotsMatchCheckedInFixtures) {
-  check_fixture(core::RngContract::kV1);
-}
-
-TEST(GoldenTrace, SnapshotsMatchCheckedInFixtures) {
-  check_fixture(core::RngContract::kV2);
-}
+TEST(GoldenTrace, SnapshotsMatchCheckedInFixtures) { check_fixture(); }
 
 }  // namespace
 }  // namespace slm

@@ -130,7 +130,6 @@ TEST(StoreReplayTest, ShardedCaptureWritesIdenticalColumnsToSerial) {
   std::remove(sharded_path.c_str());
 
   core::CampaignConfig cfg = small_config(300);
-  cfg.rng_contract = core::RngContract::kV2;
 
   cfg.store_out = serial_path;
   core::AttackSetup s1(core::BenignCircuit::kAlu,

@@ -121,19 +121,21 @@ foreach(v ${doc_versions})
   endif()
 endforeach()
 
-# 6. The RNG determinism contract must stay documented: the CLI exposes
-#    --rng-contract and the engines read SLM_RNG_CONTRACT, so both
-#    BENCHMARKS.md (tuning knob) and OBSERVABILITY.md (repro surface)
-#    must mention the flag, the env knob, and the slm.pipeline metric
-#    family the v2 overlap emits. Forward checks (documented-but-gone)
-#    are sections 2-4; this is the reverse direction.
-foreach(needed "--rng-contract" "SLM_RNG_CONTRACT")
-  if(NOT benchdoc MATCHES "${needed}")
-    string(APPEND errors "BENCHMARKS.md no longer documents '${needed}'\n")
-  endif()
-  if(NOT obsdoc MATCHES "${needed}")
-    string(APPEND errors "OBSERVABILITY.md no longer documents '${needed}'\n")
-  endif()
+# 6. RNG contract v1 and its knobs are retired: the engine runs v2
+#    only, so no doc may present --rng-contract or SLM_RNG_CONTRACT as a
+#    live knob. Any doc line naming either must also say "retired"
+#    (sections 2-3 already fail on the removed SLM_PIPELINE/SLM_COMPILED
+#    knobs). OBSERVABILITY.md keeps the slm.pipeline.* metric family the
+#    one-shard generate/compute overlap emits.
+file(GLOB knob_docs ${REPO}/README.md ${REPO}/DESIGN.md ${REPO}/EXPERIMENTS.md
+     ${REPO}/docs/*.md)
+foreach(doc ${knob_docs})
+  file(STRINGS ${doc} doc_lines REGEX "--rng-contract|SLM_RNG_CONTRACT")
+  foreach(line IN LISTS doc_lines)
+    if(NOT line MATCHES "retired")
+      string(APPEND errors "${doc} documents a retired RNG-contract knob as live: ${line}\n")
+    endif()
+  endforeach()
 endforeach()
 if(NOT obsdoc MATCHES "slm\\.pipeline\\.")
   string(APPEND errors "OBSERVABILITY.md no longer documents the slm.pipeline.* metrics\n")

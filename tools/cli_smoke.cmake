@@ -33,4 +33,15 @@ run_cli(4 attack --circuit alu --mode hw --traces 500 --key-byte 3)
 unset(ENV{SLM_SIMD})
 unset(ENV{SLM_BLOCK})
 run_cli(64 bogus-command)
+# Every verb declares the flags it accepts: a retired flag and a typo are
+# usage errors (rc 64) that name the flag, before anything runs.
+foreach(bad "--rng-contract;v1" "--trace;100")
+  list(GET bad 0 flag)
+  execute_process(COMMAND ${SLM} attack --mode tdc ${bad}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 64 OR NOT err MATCHES "unknown option '${flag}'")
+    message(FATAL_ERROR "slm attack ${bad} -> rc=${rc} (expected 64 naming ${flag})\n${out}\n${err}")
+  endif()
+endforeach()
 message(STATUS "cli smoke: all subcommands behaved")

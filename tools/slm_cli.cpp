@@ -8,7 +8,6 @@
 //              [--traces N] [--key-byte B] [--threads N]
 //              [--full-key] [--fullkey-mode fused|farmed]
 //              [--early-exit on|off] [--early-exit-margin F]
-//              [--rng-contract v1|v2]
 //              [--checkpoint-dir D] [--resume D] [--halt-after N]
 //              [--trace-out F.jsonl]
 //              [--store-out F.trc | --from-store F.trc [--fused-tvla]]
@@ -18,7 +17,8 @@
 //              [--store-out F.trc | --from-store F.trc]
 //
 // Circuits are exchanged in ISCAS .bench format, so the checker/STA/ATPG
-// subcommands also work on external netlists.
+// subcommands also work on external netlists. Every verb declares the
+// flags it accepts; any other flag is a usage error (exit 64).
 #include <fcntl.h>
 #include <sys/file.h>
 #include <unistd.h>
@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -95,6 +96,50 @@ Args parse_args(int argc, char** argv, int first) {
   }
   return args;
 }
+
+// The flags each verb accepts. `capture` forwards to attack or tvla, so
+// it takes the union of theirs plus --tvla.
+const std::set<std::string> kAttackFlags = {
+    "circuit",      "mode",        "traces",       "key-byte",
+    "threads",      "block",       "full-key",     "fullkey-mode",
+    "early-exit",   "early-exit-margin",           "checkpoint-dir",
+    "resume",       "halt-after",  "trace-out",    "store-out",
+    "from-store",   "fused-tvla",  "shard",        "range",
+    "snapshot-out", "snapshot-every",              "dry-run"};
+const std::set<std::string> kTvlaFlags = {"circuit",   "mode",
+                                          "traces",    "key-byte",
+                                          "trace-out", "store-out",
+                                          "from-store"};
+
+std::set<std::string> capture_flags() {
+  std::set<std::string> flags = kAttackFlags;
+  flags.insert(kTvlaFlags.begin(), kTvlaFlags.end());
+  flags.insert("tvla");
+  return flags;
+}
+
+const std::map<std::string, std::set<std::string>> kVerbFlags = {
+    {"gen", {"circuit", "width", "out"}},
+    {"check", {"strict-clock-mhz"}},
+    {"sta", {"clock-mhz"}},
+    {"atpg", {"band-lo", "band-hi", "trials", "climb"}},
+    {"attack", kAttackFlags},
+    {"capture", capture_flags()},
+    {"analyze", {"from-store", "trace-out"}},
+    {"tvla", kTvlaFlags},
+    {"merge", {"out", "report"}},
+    {"coordinate",
+     {"work-dir", "shards", "traces", "snapshot-every", "kill-shard",
+      "kill-after", "max-reissues", "slm-bin", "trace-out", "circuit",
+      "mode", "key-byte", "block", "full-key"}},
+    {"submit",
+     {"spool", "tenant", "kind", "priority", "circuit", "mode", "traces",
+      "key-byte", "fabric-shards", "store", "queue-cap", "id"}},
+    {"serve",
+     {"spool", "results", "max-queue", "timeslice", "threads", "max-slices",
+      "poll-ms", "idle-polls", "slm-bin"}},
+    {"status", {"results", "spool"}},
+};
 
 netlist::Netlist load_bench(const std::string& path) {
   std::ifstream is(path);
@@ -207,21 +252,6 @@ core::SensorMode parse_mode(const Args& args, const char* dflt) {
   throw Error("unknown --mode '" + mode_s + "'");
 }
 
-core::RngContract parse_rng_contract(const Args& args) {
-  // RNG determinism contract (DESIGN.md §12): v2 (the default) derives
-  // every trace's randomness from (seed, trace index) — bit-identical
-  // for any --threads/--block; v1 is the legacy sequential-stream
-  // contract that reproduces the pre-v2 fixtures.
-  const std::string contract_s = args.get("rng-contract", "");
-  if (contract_s == "v1" || contract_s == "1") return core::RngContract::kV1;
-  if (contract_s == "v2" || contract_s == "2") return core::RngContract::kV2;
-  if (!contract_s.empty()) {
-    throw Error("unknown --rng-contract '" + contract_s +
-                "' (expected v1 or v2)");
-  }
-  return core::RngContract::kDefault;
-}
-
 // Observability: --trace-out wins over the SLM_TRACE environment knob;
 // either attaches a metrics registry + JSONL event sink.
 std::unique_ptr<obs::CampaignObserver> make_observer(const Args& args) {
@@ -266,7 +296,6 @@ int cmd_attack(const Args& args) {
   // any value is bit-identical, including across a kill/resume pair).
   // SLM_SIMD=0 in the environment selects the scalar block kernels.
   opts.block = args.get_n("block", 0);
-  opts.rng_contract = parse_rng_contract(args);
 
   std::unique_ptr<obs::CampaignObserver> observer = make_observer(args);
   opts.observer = observer.get();
@@ -387,7 +416,6 @@ int cmd_attack(const Args& args) {
         full_key ? fabric_attack.fullkey_campaign_config(traces, mode)
                  : fabric_attack.byte_campaign_config(key_byte, traces, mode);
     cfg.block = opts.block;
-    cfg.rng_contract = opts.rng_contract;
     cfg.observer = observer.get();
     core::FabricWorker worker(fabric_attack.setup(), cfg, full_key);
     const core::SnapshotIdentity& id = worker.identity();
@@ -449,7 +477,6 @@ int cmd_attack(const Args& args) {
     core::CampaignConfig cfg =
         full_key ? attack.fullkey_campaign_config(rtraces, mode)
                  : attack.byte_campaign_config(key_byte, rtraces, mode);
-    cfg.rng_contract = opts.rng_contract;
     cfg.observer = observer.get();
     core::CpaCampaign campaign(attack.setup(), cfg);
     const store::StoreKind kind = full_key ? store::StoreKind::kFullKey
@@ -579,9 +606,8 @@ int cmd_attack(const Args& args) {
       std::cout << "resumed from trace " << fr.resumed_from << "\n";
     }
     std::printf("fullkey: %zu traces captured, %u thread(s), block %zu, "
-                "contract %s, %.2f s\n",
+                "contract v2, %.2f s\n",
                 fr.traces_captured, fr.threads_used, fr.block_size,
-                core::rng_contract_name(fr.rng_contract),
                 fr.capture_seconds);
     std::printf("byte  true  recovered  ok   converged\n");
     for (const auto& b : fr.bytes) {
@@ -617,8 +643,7 @@ int cmd_attack(const Args& args) {
               .field("success", fr.success)
               .field("threads", static_cast<std::uint64_t>(fr.threads_used))
               .field("block", static_cast<std::uint64_t>(fr.block_size))
-              .field("rng_contract",
-                     core::rng_contract_name(fr.rng_contract))
+              .field("rng_contract", "v2")
               .field("capture_seconds", fr.capture_seconds));
     }
     return fr.success ? 0 : 4;
@@ -642,10 +667,9 @@ int cmd_attack(const Args& args) {
     std::cout << "resumed from trace " << r.resumed_from << "\n";
   }
   if (r.capture_seconds > 0.0) {
-    std::printf("campaign: %u thread(s), block %zu, contract %s, %.2f s, "
+    std::printf("campaign: %u thread(s), block %zu, contract v2, %.2f s, "
                 "%.0f traces/sec\n",
-                r.threads_used, r.block_size,
-                core::rng_contract_name(r.rng_contract), r.capture_seconds,
+                r.threads_used, r.block_size, r.capture_seconds,
                 static_cast<double>(r.traces) / r.capture_seconds);
   }
   if (observer != nullptr && r.kernel_seconds > 0.0) {
@@ -670,7 +694,7 @@ int cmd_attack(const Args& args) {
             .field("success", r.success)
             .field("threads", static_cast<std::uint64_t>(r.threads_used))
             .field("block", static_cast<std::uint64_t>(r.block_size))
-            .field("rng_contract", core::rng_contract_name(r.rng_contract))
+            .field("rng_contract", "v2")
             .field("capture_seconds", r.capture_seconds));
   }
   return r.success ? 0 : 4;
@@ -687,7 +711,6 @@ int cmd_tvla(const Args& args) {
   const core::SensorMode mode = parse_mode(args, "tdc");
   const std::size_t tpp = args.get_n("traces", 2000);  // per population
   const std::size_t key_byte = args.get_n("key-byte", 3);
-  const core::RngContract contract = parse_rng_contract(args);
   std::unique_ptr<obs::CampaignObserver> observer = make_observer(args);
 
   const std::string store_out = args.get("store-out", "");
@@ -707,7 +730,6 @@ int cmd_tvla(const Args& args) {
     // (kind is a fingerprinted field).
     core::CampaignConfig cfg =
         attack.byte_campaign_config(key_byte, total / 2, mode);
-    cfg.rng_contract = contract;
     cfg.observer = observer.get();
     core::CpaCampaign campaign(attack.setup(), cfg);
     reader.identity().require_compatible(
@@ -724,7 +746,6 @@ int cmd_tvla(const Args& args) {
   }
 
   core::CampaignConfig cfg = attack.byte_campaign_config(key_byte, tpp, mode);
-  cfg.rng_contract = contract;
   cfg.observer = observer.get();
   cfg.store_out = store_out;
   core::CpaCampaign campaign(attack.setup(), cfg);
@@ -786,8 +807,6 @@ int cmd_analyze(const Args& args) {
           ? attack.fullkey_campaign_config(n, mode)
           : attack.byte_campaign_config(
                 key_byte, kind == store::StoreKind::kTvla ? n / 2 : n, mode);
-  cfg.rng_contract = id.rng_contract == 1 ? core::RngContract::kV1
-                                          : core::RngContract::kV2;
   cfg.observer = observer.get();
   core::CpaCampaign campaign(attack.setup(), cfg);
   reader.identity().require_compatible(campaign.store_identity(kind, n),
@@ -979,7 +998,7 @@ int cmd_coordinate(const Args& args) {
   // forwarded verbatim so every worker resolves the identical campaign
   // (the snapshot fingerprint enforces it at merge time).
   for (const char* k :
-       {"circuit", "mode", "key-byte", "rng-contract", "block"}) {
+       {"circuit", "mode", "key-byte", "block"}) {
     const auto it = args.options.find(k);
     if (it != args.options.end()) {
       opt.worker_args.push_back("--" + std::string(k));
@@ -1237,7 +1256,6 @@ int usage() {
          "         [--traces N] [--key-byte B] [--threads N] [--block N]\n"
          "         [--full-key] [--fullkey-mode fused|farmed]\n"
          "         [--early-exit on|off] [--early-exit-margin F]\n"
-         "         [--rng-contract v1|v2]\n"
          "         [--checkpoint-dir D] [--resume D] [--halt-after N]\n"
          "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc [--fused-tvla]]\n"
@@ -1247,7 +1265,7 @@ int usage() {
          "  analyze --from-store F.trc [--trace-out F.jsonl]\n"
          "  tvla   [--circuit alu|c6288] [--mode tdc|tdc-bit|hw|bit|ro]\n"
          "         [--traces N-per-population] [--key-byte B]\n"
-         "         [--rng-contract v1|v2] [--trace-out F.jsonl]\n"
+         "         [--trace-out F.jsonl]\n"
          "         [--store-out F.trc | --from-store F.trc]\n"
          "  merge  SNAP... [--out F.snap] [--report]\n"
          "  coordinate --work-dir D [--shards N] [--traces N]\n"
@@ -1271,7 +1289,15 @@ int usage() {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const auto verb = kVerbFlags.find(cmd);
+  if (verb == kVerbFlags.end()) return usage();
   const Args args = parse_args(argc, argv, 2);
+  for (const auto& [flag, value] : args.options) {
+    if (verb->second.count(flag) == 0) {
+      std::cerr << "slm " << cmd << ": unknown option '--" << flag << "'\n";
+      return usage();
+    }
+  }
   try {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "check") return cmd_check(args);
