@@ -1,7 +1,7 @@
 // Little-endian binary serialization helpers, CRC-32 and the atomic
-// file writer behind every persisted format: campaign checkpoints
-// (core/checkpoint), fabric snapshots (core/fabric), trace stores
-// (store/trace_store) and the serve daemon's job/result files. Doubles
+// file writer behind every persisted format: campaign checkpoints and
+// fabric snapshots (core/snapshot), trace stores (store/trace_store)
+// and the serve daemon's job/result files. Doubles
 // round-trip bit-exactly (raw IEEE-754 bits), which is what makes
 // resumed campaigns indistinguishable from uninterrupted ones.
 #pragma once
@@ -66,9 +66,9 @@ std::size_t write_file_atomic(const std::string& path,
                               std::initializer_list<ByteSpan> parts,
                               const std::string& context);
 
-/// Shared framed-file envelope for the binary state formats (`SLMCKPT1`
-/// campaign checkpoints, `SLMSNAP1` fabric accumulator snapshots,
-/// `SLMTRC1` trace stores):
+/// Shared framed-file envelope for the binary state formats (`SLMSNAP1`
+/// campaign checkpoints and fabric accumulator snapshots, `SLMTRC1`
+/// trace stores):
 ///
 ///   magic   8 bytes
 ///   version u32      readers reject other versions (no silent migration)

@@ -137,10 +137,10 @@ struct CampaignConfig {
   std::string checkpoint_dir;
 
   /// Resume from `<checkpoint_dir>/campaign.ckpt` when it exists: the
-  /// campaign restores the shard accumulators and positions, re-derives
+  /// campaign restores the merged accumulator and the progress, re-derives
   /// every stream from (seed, trace index), and continues bit-exactly as
-  /// if never interrupted. Missing file = fresh start; corrupt file or
-  /// mismatched configuration = loud error.
+  /// if never interrupted, on any thread count. Missing file = fresh
+  /// start; unreadable file or another campaign's checkpoint = loud error.
   bool resume = false;
 
   /// Ops/testing knob: after the snapshot at the first checkpoint whose
@@ -183,8 +183,8 @@ struct CampaignRun {
   double capture_seconds = 0.0;
 
   /// Effective trace-block size after --block / SLM_BLOCK resolution —
-  /// run metadata in the same spirit as threads_used, so bench JSON and
-  /// checkpoint headers report the block the campaign actually ran with.
+  /// run metadata in the same spirit as threads_used, so bench JSON
+  /// reports the block the campaign actually ran with.
   std::size_t block_size = 0;
 
   /// Phase-time split, filled only when cfg.observer != nullptr (the

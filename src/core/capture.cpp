@@ -10,8 +10,8 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
+#include "core/snapshot.hpp"
 #include "obs/observer.hpp"
 #include "store/trace_store.hpp"
 
@@ -272,6 +272,39 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// The checkpoint's progress section: a progress curve is its point count
+// followed by the points.
+void put_progress(ByteWriter& out,
+                  const std::vector<sca::CpaProgressPoint>& curve) {
+  out.put_u64(curve.size());
+  for (const sca::CpaProgressPoint& p : curve) {
+    out.put_u64(p.traces);
+    out.put_u64(p.best_guess);
+    out.put_u64(p.correct_rank);
+    out.put_f64(p.correct_corr);
+    out.put_f64(p.best_wrong_corr);
+    out.put_f64_vector(p.max_abs_corr);
+  }
+}
+
+std::vector<sca::CpaProgressPoint> get_progress(ByteReader& in) {
+  const std::uint64_t n = in.get_u64();
+  // Each point takes at least 48 bytes: a hostile count fails here, not
+  // in a huge reserve.
+  SLM_REQUIRE(n <= in.remaining() / 48,
+              "checkpoint: progress curve overruns its section");
+  std::vector<sca::CpaProgressPoint> curve(n);
+  for (sca::CpaProgressPoint& p : curve) {
+    p.traces = in.get_u64();
+    p.best_guess = in.get_u64();
+    p.correct_rank = in.get_u64();
+    p.correct_corr = in.get_f64();
+    p.best_wrong_corr = in.get_f64();
+    p.max_abs_corr = in.get_f64_vector();
+  }
+  return curve;
+}
+
 /// One last-round key byte through sca::XorClassCpa.
 struct ByteSink {
   using Acc = sca::XorClassCpa;
@@ -293,8 +326,8 @@ struct ByteSink {
 
   std::vector<sca::LastRoundBitModel> models() const { return {model}; }
   void start(obs::CampaignObserver*) const {}
-  void restore(const CampaignCheckpoint& ck) { r.progress = ck.progress; }
-  void save(CampaignCheckpoint& ck) const { ck.progress = r.progress; }
+  void restore(ByteReader& in) { r.progress = get_progress(in); }
+  void save(ByteWriter& out) const { put_progress(out, r.progress); }
 
   void fold(const Acc& merged, std::size_t, obs::CampaignObserver*) {
     last = merged.fold(model.pattern().data());
@@ -365,40 +398,38 @@ struct FullKeySink {
     ob->metrics().set("slm.fullkey.bytes_total", static_cast<double>(kBytes));
   }
 
-  void restore(const CampaignCheckpoint& ck) {
+  // Per byte: the early-exit state, the frozen result when converged,
+  // and the byte's progress curve.
+  void restore(ByteReader& in) {
     for (std::size_t j = 0; j < kBytes; ++j) {
-      const FullKeyByteCheckpoint& fb = ck.fullkey_bytes[j];
-      state[j].converged = fb.converged;
-      state[j].stable = static_cast<std::size_t>(fb.stable);
-      state[j].prev_best = static_cast<std::size_t>(fb.prev_best);
+      state[j].converged = in.get_u8() != 0;
+      state[j].stable = static_cast<std::size_t>(in.get_u64());
+      state[j].prev_best = static_cast<std::size_t>(in.get_u64());
       FullKeyByteResult& br = r.bytes[j];
-      br.progress = fb.progress;
-      if (fb.converged) {
+      if (state[j].converged) {
         ++converged;
-        br.recovered = fb.recovered;
-        br.traces = static_cast<std::size_t>(fb.frozen_traces);
-        br.final_max_abs_corr = fb.frozen_corr;
+        br.recovered = in.get_u8();
+        br.traces = static_cast<std::size_t>(in.get_u64());
+        br.final_max_abs_corr = in.get_f64_vector();
         br.early_exited = true;
         br.success = br.recovered == br.correct;
       }
+      br.progress = get_progress(in);
     }
   }
 
-  void save(CampaignCheckpoint& ck) const {
-    ck.fullkey = true;
-    ck.fullkey_bytes.reserve(kBytes);
+  void save(ByteWriter& out) const {
     for (std::size_t j = 0; j < kBytes; ++j) {
-      FullKeyByteCheckpoint fb;
-      fb.converged = state[j].converged;
-      fb.stable = state[j].stable;
-      fb.prev_best = state[j].prev_best;
+      out.put_u8(state[j].converged ? 1 : 0);
+      out.put_u64(state[j].stable);
+      out.put_u64(state[j].prev_best);
+      const FullKeyByteResult& br = r.bytes[j];
       if (state[j].converged) {
-        fb.frozen_traces = r.bytes[j].traces;
-        fb.recovered = r.bytes[j].recovered;
-        fb.frozen_corr = r.bytes[j].final_max_abs_corr;
+        out.put_u8(br.recovered);
+        out.put_u64(br.traces);
+        out.put_f64_vector(br.final_max_abs_corr);
       }
-      fb.progress = r.bytes[j].progress;
-      ck.fullkey_bytes.push_back(std::move(fb));
+      put_progress(out, br.progress);
     }
   }
 
@@ -488,16 +519,19 @@ void CampaignEngine::drive(CpaCampaign& c, unsigned T, Sink& sink,
   run.mode = cfg.mode;
   run.sample_times_ns = c.sample_times_;
 
-  // The store fingerprint hashes the *requested* endpoint bit, so the
-  // writer is created before bit resolution. Resume is refused: a resumed
-  // run does not regenerate the traces already captured.
+  // The campaign identity stamped into stores and checkpoints hashes the
+  // *requested* endpoint bit, so it is built before bit resolution. A
+  // store cannot combine with resume: a resumed run does not regenerate
+  // the traces already captured.
+  const store::StoreIdentity identity =
+      c.store_identity(Sink::kStoreKind, cfg.traces);
   std::unique_ptr<store::TraceStoreWriter> store_writer;
   if (!cfg.store_out.empty()) {
     SLM_REQUIRE(!cfg.resume,
                 "store_out: cannot combine with resume — traces captured "
                 "before the snapshot would be missing from the store");
-    store_writer = std::make_unique<store::TraceStoreWriter>(
-        cfg.store_out, c.store_identity(Sink::kStoreKind, cfg.traces));
+    store_writer =
+        std::make_unique<store::TraceStoreWriter>(cfg.store_out, identity);
     store_writer->set_capture_threads(T);
   }
 
@@ -529,40 +563,38 @@ void CampaignEngine::drive(CpaCampaign& c, unsigned T, Sink& sink,
   std::vector<RangeStats> stats(T);
   for (RangeStats& st : stats) st.timed = ob != nullptr;
 
-  // Crash-safe resume: accumulator sums and per-shard positions carry
-  // over; every stream re-derives from (seed, trace index).
+  // Crash-safe resume: the checkpoint holds the merged accumulator over
+  // [0, covered), so it seeds shard 0 and any thread count continues it
+  // (integer sums); every stream re-derives from (seed, trace index).
   std::size_t covered = 0;
   const bool snapshotting = !cfg.checkpoint_dir.empty();
+  const std::string ckpt_path =
+      snapshotting ? checkpoint_file(cfg.checkpoint_dir) : std::string();
   if (cfg.resume && snapshotting) {
-    if (auto ck = load_checkpoint(cfg.checkpoint_dir)) {
-      require_checkpoint_matches(*ck, cfg, T, samples, Sink::kFullKey);
-      for (unsigned i = 0; i < T; ++i) {
-        const CheckpointShard& cs = ck->shard_state[i];
-        SLM_REQUIRE(cs.has_fence == c.fence_.has_value(),
-                    "resume: fence configuration differs from snapshot");
-        positions[i] = cs.position;
-        ByteReader in(cs.accumulator.data(), cs.accumulator.size());
-        accs[i].load(in);
-        SLM_REQUIRE(in.done(), "resume: trailing accumulator bytes");
-      }
-      sink.restore(*ck);
-      covered = static_cast<std::size_t>(ck->traces_done);
+    if (auto ck = load_checkpoint(cfg.checkpoint_dir, identity)) {
+      ByteReader acc_in(ck->accumulator.data(), ck->accumulator.size());
+      accs[0].load(acc_in);
+      ByteReader progress_in(ck->progress.data(), ck->progress.size());
+      sink.restore(progress_in);
+      SLM_REQUIRE(acc_in.done() && progress_in.done(),
+                  "resume: trailing bytes in checkpoint '" + ckpt_path + "'");
+      covered = static_cast<std::size_t>(ck->ranges[0].end);
+      positions[0] = covered;
       run.resumed_from = covered;
       checkpoints.erase(
           std::remove_if(checkpoints.begin(), checkpoints.end(),
                          [&](std::size_t cp) { return cp <= covered; }),
           checkpoints.end());
       log_info() << (Sink::kFullKey ? "fullkey" : "campaign")
-                 << ": resumed from " << checkpoint_file(cfg.checkpoint_dir)
-                 << " at trace " << covered << "/" << cfg.traces
-                 << " across " << T << " shard(s)";
+                 << ": resumed from " << ckpt_path << " at trace " << covered
+                 << "/" << cfg.traces << " across " << T << " shard(s)";
       if (ob != nullptr) {
         ob->metrics().add("slm.checkpoint.resumes_total");
         ob->event("resume",
                   obs::JsonWriter()
                       .field("traces_done", static_cast<std::uint64_t>(covered))
                       .field("shards", static_cast<std::uint64_t>(T))
-                      .field("path", checkpoint_file(cfg.checkpoint_dir)));
+                      .field("path", ckpt_path));
       }
     }
   }
@@ -622,16 +654,17 @@ void CampaignEngine::drive(CpaCampaign& c, unsigned T, Sink& sink,
     for (RangeStats& st : stats) flush_range_stats(ob, st);
 
     // Merge in fixed shard order (integer sums: any order is bit-exact),
-    // then fold through the sink.
+    // then fold through the sink. The checkpoint saves the same merge.
+    std::optional<Acc> merged;
     {
       std::optional<obs::CampaignObserver::Span> span;
       if (ob != nullptr) span.emplace(ob->span("merge"));
       const double m0 = obs::monotonic_seconds();
-      Acc merged(samples);
       if (T > 1) {
-        for (const Acc& a : accs) merged.merge(a);
+        merged.emplace(samples);
+        for (const Acc& a : accs) merged->merge(a);
       }
-      sink.fold(T > 1 ? merged : accs[0], cp, ob);
+      sink.fold(merged ? *merged : accs[0], cp, ob);
       fold_s += obs::monotonic_seconds() - m0;
     }
 
@@ -658,30 +691,17 @@ void CampaignEngine::drive(CpaCampaign& c, unsigned T, Sink& sink,
       std::optional<obs::CampaignObserver::Span> span;
       if (ob != nullptr) span.emplace(ob->span("checkpoint"));
       const double s0 = obs::monotonic_seconds();
-      CampaignCheckpoint ck;
-      ck.seed = cfg.seed;
-      ck.total_traces = cfg.traces;
-      ck.mode = static_cast<std::uint32_t>(cfg.mode);
-      ck.shards = T;
-      ck.samples = samples;
-      ck.target_key_byte = cfg.target_key_byte;
-      ck.target_bit = cfg.target_bit;
-      ck.single_bit = cfg.single_bit;
-      ck.block = run.block_size;
-      ck.traces_done = cp;
-      ck.shard_state.reserve(T);
-      for (unsigned i = 0; i < T; ++i) {
-        CheckpointShard cs;
-        cs.position = positions[i];
-        cs.has_fence = c.fence_.has_value();
-        ByteWriter acc;
-        accs[i].save(acc);
-        cs.accumulator = acc.take();
-        ck.shard_state.push_back(std::move(cs));
-      }
-      sink.save(ck);
-      const std::size_t bytes = save_checkpoint(cfg.checkpoint_dir, ck);
-      run.snapshot_path = checkpoint_file(cfg.checkpoint_dir);
+      AccumulatorSnapshot ck;
+      ck.id = identity;
+      ck.ranges = {TraceRange{0, cp}};
+      ByteWriter acc;
+      (merged ? *merged : accs[0]).save(acc);
+      ck.accumulator = acc.take();
+      ByteWriter progress;
+      sink.save(progress);
+      ck.progress = progress.take();
+      const std::size_t bytes = save_snapshot(ckpt_path, ck);
+      run.snapshot_path = ckpt_path;
       const double io = obs::monotonic_seconds() - s0;
       ckpt_io_s += io;
       if (ob != nullptr) {

@@ -14,63 +14,12 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "core/capture.hpp"
-#include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
 #include "obs/jsonl.hpp"
 #include "obs/observer.hpp"
 #include "sca/model.hpp"
 
 namespace slm::core {
-
-namespace {
-
-constexpr char kSnapMagic[] = "SLMSNAP1";
-
-void put_identity(ByteWriter& out, const SnapshotIdentity& id) {
-  out.put_u32(id.circuit);
-  out.put_u32(id.mode);
-  out.put_u64(id.seed);
-  out.put_u64(id.total_traces);
-  out.put_u64(id.samples);
-  out.put_u64(id.target_key_byte);
-  out.put_u64(id.target_bit);
-  out.put_u64(id.single_bit);
-  out.put_u8(id.compiled);
-  out.put_u32(id.rng_contract);
-  out.put_u8(id.fullkey);
-}
-
-SnapshotIdentity get_identity(ByteReader& in) {
-  SnapshotIdentity id;
-  id.circuit = in.get_u32();
-  id.mode = in.get_u32();
-  id.seed = in.get_u64();
-  id.total_traces = in.get_u64();
-  id.samples = in.get_u64();
-  id.target_key_byte = in.get_u64();
-  id.target_bit = in.get_u64();
-  id.single_bit = in.get_u64();
-  id.compiled = in.get_u8();
-  id.rng_contract = in.get_u32();
-  id.fullkey = in.get_u8();
-  return id;
-}
-
-}  // namespace
-
-std::uint32_t SnapshotIdentity::fingerprint() const {
-  ByteWriter canon;
-  put_identity(canon, *this);
-  return crc32(canon.bytes().data(), canon.size());
-}
-
-bool SnapshotIdentity::operator==(const SnapshotIdentity& o) const {
-  return circuit == o.circuit && mode == o.mode && seed == o.seed &&
-         total_traces == o.total_traces && samples == o.samples &&
-         target_key_byte == o.target_key_byte && target_bit == o.target_bit &&
-         single_bit == o.single_bit && compiled == o.compiled &&
-         rng_contract == o.rng_contract && fullkey == o.fullkey;
-}
 
 std::vector<TraceRange> plan_shards(std::uint64_t total, unsigned shards) {
   SLM_REQUIRE(shards > 0, "plan_shards: zero shards");
@@ -82,286 +31,15 @@ std::vector<TraceRange> plan_shards(std::uint64_t total, unsigned shards) {
   return out;
 }
 
-RangeLedger::RangeLedger(std::uint64_t total) : total_(total) {}
-
-void RangeLedger::cover(TraceRange r) {
-  if (r.begin >= r.end) {
-    throw SnapshotRangeError("range ledger: empty or inverted trace range [" +
-                             std::to_string(r.begin) + ", " +
-                             std::to_string(r.end) + ")");
-  }
-  if (r.end > total_) {
-    throw SnapshotRangeError("range ledger: range [" +
-                             std::to_string(r.begin) + ", " +
-                             std::to_string(r.end) +
-                             ") exceeds the campaign budget of " +
-                             std::to_string(total_) + " traces");
-  }
-  auto it = std::lower_bound(
-      ranges_.begin(), ranges_.end(), r,
-      [](const TraceRange& a, const TraceRange& b) { return a.begin < b.begin; });
-  const auto overlap = [&](const TraceRange& existing) {
-    throw SnapshotRangeError(
-        "range ledger: range [" + std::to_string(r.begin) + ", " +
-        std::to_string(r.end) + ") overlaps already-covered [" +
-        std::to_string(existing.begin) + ", " + std::to_string(existing.end) +
-        ") — merging it would double-count traces");
-  };
-  if (it != ranges_.begin() && std::prev(it)->end > r.begin) {
-    overlap(*std::prev(it));
-  }
-  if (it != ranges_.end() && it->begin < r.end) overlap(*it);
-  it = ranges_.insert(it, r);
-  // Coalesce with touching neighbours so ranges() stays canonical.
-  if (it != ranges_.begin() && std::prev(it)->end == it->begin) {
-    std::prev(it)->end = it->end;
-    it = ranges_.erase(it);
-    --it;
-  }
-  if (std::next(it) != ranges_.end() && it->end == std::next(it)->begin) {
-    it->end = std::next(it)->end;
-    ranges_.erase(std::next(it));
-  }
-}
-
-std::uint64_t RangeLedger::covered() const {
-  std::uint64_t n = 0;
-  for (const TraceRange& r : ranges_) n += r.count();
-  return n;
-}
-
-std::vector<TraceRange> RangeLedger::missing() const {
-  std::vector<TraceRange> gaps;
-  std::uint64_t cursor = 0;
-  for (const TraceRange& r : ranges_) {
-    if (cursor < r.begin) gaps.push_back(TraceRange{cursor, r.begin});
-    cursor = r.end;
-  }
-  if (cursor < total_) gaps.push_back(TraceRange{cursor, total_});
-  return gaps;
-}
-
-std::size_t save_snapshot(const std::string& path,
-                          const AccumulatorSnapshot& snap) {
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    SLM_REQUIRE(!ec, "snapshot: cannot create directory '" +
-                         parent.string() + "'");
-  }
-  ByteWriter head;
-  put_identity(head, snap.id);
-  head.put_u32(snap.id.fingerprint());
-  head.put_u64(snap.ranges.size());
-  for (const TraceRange& r : snap.ranges) {
-    head.put_u64(r.begin);
-    head.put_u64(r.end);
-  }
-  head.put_u64(snap.accumulator.size());
-  // The accumulator blob is written from where it lies, not copied.
-  return write_framed_file(path, kSnapMagic, kSnapshotVersion,
-                           {head.bytes(), snap.accumulator}, "snapshot");
-}
-
-AccumulatorSnapshot load_snapshot(const std::string& path) {
-  std::optional<std::vector<std::uint8_t>> payload;
-  try {
-    payload = read_framed_file(path, kSnapMagic, kSnapshotVersion, "snapshot");
-  } catch (const Error& e) {
-    throw SnapshotFormatError(e.what());
-  }
-  if (!payload) {
-    throw SnapshotFormatError("snapshot: no file at '" + path + "'");
-  }
-
-  AccumulatorSnapshot snap;
-  snap.source = path;
-  try {
-    ByteReader in(payload->data(), payload->size());
-    snap.id = get_identity(in);
-    SLM_REQUIRE(snap.id.rng_contract == 2,
-                "snapshot: fabric snapshots require RNG contract v2, file "
-                "claims v" + std::to_string(snap.id.rng_contract));
-    SLM_REQUIRE(snap.id.compiled == 1,
-                "snapshot: file was captured on the retired reference "
-                "kernel path (compiled = 0)");
-    const std::uint32_t stored_fp = in.get_u32();
-    SLM_REQUIRE(stored_fp == snap.id.fingerprint(),
-                "snapshot: config fingerprint does not match the identity "
-                "fields in '" + path + "'");
-    const std::uint64_t range_count = in.get_u64();
-    SLM_REQUIRE(range_count <= in.remaining() / 16,
-                "snapshot: range table overruns payload");
-    snap.ranges.reserve(range_count);
-    for (std::uint64_t i = 0; i < range_count; ++i) {
-      TraceRange r;
-      r.begin = in.get_u64();
-      r.end = in.get_u64();
-      snap.ranges.push_back(r);
-    }
-    const std::uint64_t acc_size = in.get_u64();
-    SLM_REQUIRE(acc_size <= in.remaining(),
-                "snapshot: accumulator blob overruns payload");
-    snap.accumulator.resize(acc_size);
-    in.get_bytes(snap.accumulator.data(), acc_size);
-    SLM_REQUIRE(in.done(), "snapshot: trailing bytes after payload");
-  } catch (const SnapshotRangeError&) {
-    throw;
-  } catch (const Error& e) {
-    throw SnapshotFormatError(e.what());
-  }
-
-  // Range discipline is a separate failure class from file corruption:
-  // a structurally valid file claiming overlapping coverage must fail
-  // as a double-count, not as "corrupt".
-  RangeLedger ledger(snap.id.total_traces);
-  for (const TraceRange& r : snap.ranges) {
-    try {
-      ledger.cover(r);
-    } catch (const SnapshotRangeError& e) {
-      throw SnapshotRangeError(std::string(e.what()) + " (in '" + path +
-                               "')");
-    }
-  }
-  return snap;
-}
-
-AccumulatorSnapshot merge_snapshots(
-    const std::vector<AccumulatorSnapshot>& parts) {
-  SLM_REQUIRE(!parts.empty(), "merge: no snapshots to merge");
-  const SnapshotIdentity& id = parts[0].id;
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    const SnapshotIdentity& o = parts[i].id;
-    const std::string where =
-        parts[i].source.empty() ? "snapshot #" + std::to_string(i)
-                                : "'" + parts[i].source + "'";
-    const auto mismatch = [&](const char* what) {
-      throw SnapshotMismatch("merge: " + where +
-                             " was captured under a different " + what +
-                             " than " +
-                             (parts[0].source.empty()
-                                  ? std::string("snapshot #0")
-                                  : "'" + parts[0].source + "'"));
-    };
-    if (o.seed != id.seed) mismatch("seed");
-    if (o.rng_contract != id.rng_contract) mismatch("RNG contract");
-    if (o.circuit != id.circuit) mismatch("benign circuit");
-    if (o.mode != id.mode) mismatch("sensor mode");
-    if (o.total_traces != id.total_traces) mismatch("trace budget");
-    if (o.samples != id.samples) mismatch("sampling window");
-    if (o.target_key_byte != id.target_key_byte ||
-        o.target_bit != id.target_bit) {
-      mismatch("CPA target");
-    }
-    if (o.single_bit != id.single_bit) mismatch("sensor bit");
-    if (o.fullkey != id.fullkey) mismatch("campaign kind (full-key flag)");
-    if (!(o == id)) mismatch("config (fingerprint)");
-  }
-
-  RangeLedger ledger(id.total_traces);
-  for (const AccumulatorSnapshot& part : parts) {
-    for (const TraceRange& r : part.ranges) {
-      try {
-        ledger.cover(r);
-      } catch (const SnapshotRangeError& e) {
-        throw SnapshotRangeError(
-            std::string(e.what()) +
-            (part.source.empty() ? "" : " (while merging '" + part.source +
-                                            "')"));
-      }
-    }
-  }
-
-  const std::size_t samples = static_cast<std::size_t>(id.samples);
-  const auto load_acc = [&](auto& acc, const AccumulatorSnapshot& part) {
-    try {
-      ByteReader in(part.accumulator.data(), part.accumulator.size());
-      acc.load(in);
-      SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-    } catch (const Error& e) {
-      throw SnapshotFormatError(
-          std::string(e.what()) +
-          (part.source.empty() ? "" : " (in '" + part.source + "')"));
-    }
-  };
-  AccumulatorSnapshot out;
-  out.id = id;
-  out.ranges = ledger.ranges();
-  ByteWriter acc_out;
-  const auto merge_all = [&](auto merged, auto one) {
-    for (const AccumulatorSnapshot& part : parts) {
-      load_acc(one, part);
-      merged.merge(one);
-    }
-    merged.save(acc_out);
-  };
-  if (id.fullkey != 0) {
-    merge_all(sca::MultiByteCpa(samples), sca::MultiByteCpa(samples));
-  } else {
-    merge_all(sca::XorClassCpa(samples), sca::XorClassCpa(samples));
-  }
-  out.accumulator = acc_out.take();
-  return out;
-}
-
-sca::CpaEngine fold_snapshot_byte(const AccumulatorSnapshot& snap,
-                                  std::size_t key_byte) {
-  const std::size_t samples = static_cast<std::size_t>(snap.id.samples);
-  ByteReader in(snap.accumulator.data(), snap.accumulator.size());
-  const sca::LastRoundBitModel model(key_byte, snap.id.target_bit);
-  if (snap.id.fullkey != 0) {
-    SLM_REQUIRE(key_byte < sca::MultiByteCpa::kBytes,
-                "fold: key byte out of range");
-    sca::MultiByteCpa mb(samples);
-    mb.load(in);
-    SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-    return mb.fold(key_byte, model.pattern().data());
-  }
-  SLM_REQUIRE(key_byte == snap.id.target_key_byte,
-              "fold: single-byte snapshot targets key byte " +
-                  std::to_string(snap.id.target_key_byte));
-  sca::XorClassCpa cls(samples);
-  cls.load(in);
-  SLM_REQUIRE(in.done(), "snapshot: trailing accumulator bytes");
-  return cls.fold(model.pattern().data());
-}
-
 FabricWorker::FabricWorker(AttackSetup& setup, const CampaignConfig& cfg,
                            bool fullkey)
-    : setup_(setup), campaign_(setup, cfg), fullkey_(fullkey) {}
-
-const SnapshotIdentity& FabricWorker::identity() {
-  if (resolved_) return id_;
-  // Selection pre-pass: deterministic from the config seed alone, so
-  // every worker of the same campaign resolves identical bits — nothing
-  // shard-specific leaks into the identity.
-  obs::CampaignObserver* const ob = campaign_.cfg_.observer;
-  {
-    const double t0 = obs::monotonic_seconds();
-    std::optional<obs::CampaignObserver::Span> span;
-    if (ob != nullptr) span.emplace(ob->span("selection"));
-    bits_ = campaign_.resolve_sensor_bits();
-    if (ob != nullptr) {
-      ob->metrics().set("slm.campaign.selection_seconds",
-                        obs::monotonic_seconds() - t0);
-    }
-  }
-
-  const CampaignConfig& cfg = campaign_.cfg_;
-  id_.circuit = static_cast<std::uint32_t>(setup_.circuit_kind());
-  id_.mode = static_cast<std::uint32_t>(cfg.mode);
-  id_.seed = cfg.seed;
-  id_.total_traces = cfg.traces;
-  id_.samples = campaign_.sample_times_.size();
-  id_.target_key_byte = cfg.target_key_byte;
-  id_.target_bit = cfg.target_bit;
-  id_.single_bit = cfg.single_bit;
-  id_.fullkey = fullkey_ ? 1 : 0;
-  resolved_ = true;
-  return id_;
-}
+    : campaign_(setup, cfg),
+      fullkey_(fullkey),
+      // Before bit resolution rewrites cfg_.single_bit: the identity
+      // hashes the requested bit, as every engine path does.
+      id_(campaign_.store_identity(fullkey ? store::StoreKind::kFullKey
+                                           : store::StoreKind::kByteCampaign,
+                                   cfg.traces)) {}
 
 namespace {
 
@@ -371,7 +49,7 @@ namespace {
 // slm.kernel.* metrics as the campaign driver.
 template <class Acc>
 AccumulatorSnapshot run_worker(const CaptureKernel& kernel, Acc acc,
-                               const SnapshotIdentity& id,
+                               const store::StoreIdentity& id,
                                const FabricJob& job,
                                const std::vector<std::uint64_t>& bounds,
                                obs::CampaignObserver* ob) {
@@ -466,8 +144,8 @@ AccumulatorSnapshot run_worker(const CaptureKernel& kernel, Acc acc,
 }  // namespace
 
 AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
-  identity();
   const CampaignConfig& cfg = campaign_.cfg_;
+  obs::CampaignObserver* const ob = cfg.observer;
   const std::uint64_t a = job.range.begin;
   const std::uint64_t bEnd = job.range.end;
   if (a >= bEnd || bEnd > cfg.traces) {
@@ -477,7 +155,19 @@ AccumulatorSnapshot FabricWorker::run(const FabricJob& job) {
         std::to_string(cfg.traces) + " traces");
   }
   SLM_REQUIRE(!job.snapshot_out.empty(), "fabric: worker needs a snapshot path");
-  obs::CampaignObserver* const ob = cfg.observer;
+  if (!resolved_) {
+    // Selection pre-pass: deterministic from the config seed alone, so
+    // every worker of the same campaign resolves identical bits.
+    const double t0 = obs::monotonic_seconds();
+    std::optional<obs::CampaignObserver::Span> span;
+    if (ob != nullptr) span.emplace(ob->span("selection"));
+    bits_ = campaign_.resolve_sensor_bits();
+    if (ob != nullptr) {
+      ob->metrics().set("slm.campaign.selection_seconds",
+                        obs::monotonic_seconds() - t0);
+    }
+    resolved_ = true;
+  }
 
   // Snapshot boundaries: the snapshot_every grid within the range, the
   // halt point (so the partial snapshot covers exactly [a, a+halt)),

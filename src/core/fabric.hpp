@@ -1,25 +1,22 @@
 // Distributed campaign fabric (docs/DISTRIBUTED.md): shard workers that
 // capture any contiguous trace range of a contract-v2 campaign and emit
-// CRC'd `SLMSNAP1` accumulator snapshots, plus the merge/coordinate side
-// — a range ledger that refuses overlaps and finds gaps, order-invariant
-// snapshot merging, and a local multi-process coordinator that reissues
-// dead or incomplete shards' exact trace ranges. Because contract v2
-// derives every trace from (seed, trace_index) and the CPA accumulators
-// are integer-valued sums, a merged fabric run is byte-identical to the
-// serial engine for every split (tests/core/fabric_test.cpp,
-// tools/fabric_smoke.cmake).
+// CRC'd `SLMSNAP1` accumulator snapshots (core/snapshot.hpp: the format,
+// its range ledger and order-invariant merging), plus a local
+// multi-process coordinator that reissues dead or incomplete shards'
+// exact trace ranges. Because contract v2 derives every trace from
+// (seed, trace_index) and the CPA accumulators are integer-valued sums,
+// a merged fabric run is byte-identical to the serial engine for every
+// split (tests/core/fabric_test.cpp, tools/fabric_smoke.cmake).
 #pragma once
 
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/campaign.hpp"
 #include "core/setup.hpp"
-#include "sca/cpa.hpp"
+#include "core/snapshot.hpp"
 
 namespace slm::obs {
 class CampaignObserver;
@@ -27,134 +24,11 @@ class CampaignObserver;
 
 namespace slm::core {
 
-/// `SLMSNAP1` wire version (independent of kCheckpointVersion: snapshots
-/// carry only identity + covered ranges + one accumulator blob, no
-/// engine-topology state, so they survive thread/block-count changes).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
-
-/// A snapshot file is structurally unusable: missing, truncated, wrong
-/// magic/version, CRC failure, or a malformed payload. CLI exit code 7.
-class SnapshotFormatError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Snapshots describe different campaigns (seed / contract / config
-/// fingerprint mismatch) and must never be merged. CLI exit code 8.
-class SnapshotMismatch : public Error {
- public:
-  using Error::Error;
-};
-
-/// Trace-range bookkeeping violation: overlapping ranges (a silent
-/// double-count), out-of-bounds or empty ranges, or a merge --report on
-/// incomplete coverage. CLI exit code 9.
-class SnapshotRangeError : public Error {
- public:
-  using Error::Error;
-};
-
-/// Half-open range of global zero-based trace indices [begin, end).
-struct TraceRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-
-  std::uint64_t count() const { return end - begin; }
-  bool operator==(const TraceRange& o) const {
-    return begin == o.begin && end == o.end;
-  }
-};
-
 /// Split [0, total) into `shards` contiguous ranges — the same
 /// `i*total/N` arithmetic the sharded engine uses per segment, so a
 /// worker's range is always computable from (total, N, i) alone. Shard
 /// ranges may be empty when shards > total.
 std::vector<TraceRange> plan_shards(std::uint64_t total, unsigned shards);
-
-/// Coverage ledger over [0, total): which global traces are accounted
-/// for by at least one snapshot. cover() refuses any overlap with an
-/// SnapshotRangeError — a double-counted range would silently bias every
-/// correlation, so it can never be "mostly fine".
-class RangeLedger {
- public:
-  explicit RangeLedger(std::uint64_t total);
-
-  /// Add a covered range; throws SnapshotRangeError on empty/
-  /// out-of-bounds/overlapping input. Adjacent ranges coalesce.
-  void cover(TraceRange r);
-
-  bool complete() const { return covered() == total_; }
-  std::uint64_t covered() const;
-  std::uint64_t total() const { return total_; }
-
-  /// Coalesced covered ranges, sorted ascending.
-  const std::vector<TraceRange>& ranges() const { return ranges_; }
-
-  /// The gaps: exactly the ranges a coordinator must (re)issue.
-  std::vector<TraceRange> missing() const;
-
- private:
-  std::uint64_t total_;
-  std::vector<TraceRange> ranges_;
-};
-
-/// Everything that determines a trace's value under contract v2. Two
-/// snapshots merge only if ALL of this matches; the fingerprint is the
-/// CRC-32 of its canonical serialization. Thread count, block size, and
-/// shard index are deliberately absent — under v2 they cannot change a
-/// single reading, and the whole point of the fabric is merging across
-/// them.
-struct SnapshotIdentity {
-  std::uint32_t circuit = 0;       ///< BenignCircuit
-  std::uint32_t mode = 0;          ///< SensorMode
-  std::uint64_t seed = 0;
-  std::uint64_t total_traces = 0;  ///< full campaign budget, not the range
-  std::uint64_t samples = 0;
-  std::uint64_t target_key_byte = 0;
-  std::uint64_t target_bit = 0;
-  std::uint64_t single_bit = 0;    ///< resolved (post-selection) bit
-  std::uint8_t compiled = 1;       ///< format field; always 1 (0 is refused)
-  std::uint32_t rng_contract = 2;  ///< SLMSNAP1 requires v2
-  std::uint8_t fullkey = 0;
-
-  std::uint32_t fingerprint() const;
-  bool operator==(const SnapshotIdentity& o) const;
-};
-
-/// One shard's (or one merge's) worth of campaign state: identity,
-/// covered trace ranges, and the raw accumulator blob (MultiByteCpa for
-/// full-key, XorClassCpa otherwise — the existing save/load formats,
-/// unchanged).
-struct AccumulatorSnapshot {
-  SnapshotIdentity id;
-  std::vector<TraceRange> ranges;       ///< sorted, disjoint
-  std::vector<std::uint8_t> accumulator;
-  std::string source;                   ///< load path, for diagnostics only
-};
-
-/// Write `snap` as an SLMSNAP1 file (atomic tmp+rename, CRC'd framed
-/// envelope shared with SLMCKPT1). Returns bytes written.
-std::size_t save_snapshot(const std::string& path,
-                          const AccumulatorSnapshot& snap);
-
-/// Load and fully validate an SLMSNAP1 file. Throws SnapshotFormatError
-/// (missing/corrupt/foreign file, fingerprint inconsistency) or
-/// SnapshotRangeError (unsorted/overlapping/out-of-bounds ranges).
-AccumulatorSnapshot load_snapshot(const std::string& path);
-
-/// Merge snapshots in the given order (any order: bit-identical, the
-/// accumulators are integer-valued sums). Throws SnapshotMismatch when
-/// identities differ, SnapshotRangeError when covered ranges overlap.
-/// Gaps are allowed — a coordinator merges partial snapshots and fills
-/// the holes later; `merge --report` is what insists on completeness.
-AccumulatorSnapshot merge_snapshots(
-    const std::vector<AccumulatorSnapshot>& parts);
-
-/// Fold a snapshot's accumulator into per-guess CPA sums for one key
-/// byte (any byte for full-key snapshots; the snapshot's own target byte
-/// otherwise). Bit-identical to the serial engine's checkpoint fold.
-sca::CpaEngine fold_snapshot_byte(const AccumulatorSnapshot& snap,
-                                  std::size_t key_byte);
 
 /// One worker assignment: capture [range.begin, range.end) of the
 /// campaign and write snapshots to `snapshot_out`.
@@ -173,8 +47,9 @@ struct FabricJob {
 
 /// Captures any contiguous trace range of a campaign through the capture
 /// engine (core/capture.hpp), bit-identically to the traces every other
-/// engine path assigns those indices. Runs the selection pre-pass once (deterministic from the
-/// config seed, so every worker of a campaign resolves the same bits).
+/// engine path assigns those indices. Runs the selection pre-pass once,
+/// on the first run() (deterministic from the config seed, so every
+/// worker of a campaign resolves the same bits).
 class FabricWorker {
  public:
   /// `cfg` must be the exact campaign config of the serial run being
@@ -182,20 +57,19 @@ class FabricWorker {
   /// fullkey_campaign_config build it).
   FabricWorker(AttackSetup& setup, const CampaignConfig& cfg, bool fullkey);
 
-  /// The campaign identity (selection pre-pass runs on first call).
-  const SnapshotIdentity& identity();
+  /// The campaign identity every snapshot of this worker carries.
+  const store::StoreIdentity& identity() const { return id_; }
 
   /// Capture the job's range and write the snapshot(s). Returns the
   /// final snapshot; throws CampaignHalted after a halt_after boundary.
   AccumulatorSnapshot run(const FabricJob& job);
 
  private:
-  AttackSetup& setup_;
   CpaCampaign campaign_;
   bool fullkey_;
+  store::StoreIdentity id_;
   bool resolved_ = false;
   std::vector<std::size_t> bits_;
-  SnapshotIdentity id_;
 };
 
 /// Shared coordinator-side view of worker progress, written by the

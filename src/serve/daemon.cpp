@@ -14,9 +14,9 @@
 #include "common/binio.hpp"
 #include "common/error.hpp"
 #include "core/attack.hpp"
-#include "core/checkpoint.hpp"
 #include "core/fabric.hpp"
 #include "core/parallel.hpp"
+#include "core/snapshot.hpp"
 #include "crypto/aes128.hpp"
 #include "obs/jsonl.hpp"
 #include "store/replay.hpp"
@@ -381,8 +381,16 @@ ServeReport serve(const ServeOptions& opt) {
       }
       qj.dir = d.string();
       qj.seq = seq++;
-      if (const auto ck = core::load_checkpoint((d / "ckpt").string())) {
-        qj.traces_done = ck->traces_done;
+      // The checkpoint covers [0, traces_done). An unreadable one leaves
+      // the job at 0: its slice's resume then refuses the file by name
+      // and records the job failed, and the other jobs drain.
+      const std::string ckpt = core::checkpoint_file((d / "ckpt").string());
+      if (fs::exists(ckpt)) {
+        try {
+          const core::AccumulatorSnapshot ck = core::load_snapshot(ckpt);
+          if (!ck.ranges.empty()) qj.traces_done = ck.ranges.back().end;
+        } catch (const Error&) {
+        }
       }
       m.add("slm.serve.jobs_recovered_total");
       ob.event("job_recovered", obs::JsonWriter()

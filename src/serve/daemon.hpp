@@ -8,7 +8,7 @@
 // through the existing campaign engines. Preemption reuses the
 // bit-exact checkpoint mechanism verbatim: a slice runs with
 // halt_after_traces set to the next checkpoint past its budget, the
-// engine throws CampaignHalted right after the SLMCKPT1 snapshot lands,
+// engine throws CampaignHalted right after the SLMSNAP1 checkpoint lands,
 // and the job is requeued to resume from that snapshot later — so a
 // job's final result is byte-identical to running it uninterrupted
 // (serve_test / serve_smoke prove this, including across a daemon kill

@@ -71,36 +71,40 @@ std::uint32_t StoreIdentity::fingerprint() const {
 }
 
 bool StoreIdentity::operator==(const StoreIdentity& other) const {
-  return kind == other.kind && circuit == other.circuit &&
-         mode == other.mode && rng_contract == other.rng_contract &&
-         seed == other.seed && trace_count == other.trace_count &&
-         samples == other.samples &&
-         target_key_byte == other.target_key_byte &&
-         target_bit == other.target_bit &&
-         config_hash == other.config_hash;
+  return differences(other).empty();
+}
+
+std::string StoreIdentity::differences(const StoreIdentity& expected) const {
+  std::string diff;
+  const auto add = [&diff](const char* name, const std::string& got,
+                           const std::string& want) {
+    if (!diff.empty()) diff += ", ";
+    diff += std::string(name) + " " + got + " != " + want;
+  };
+  const auto num = [&add](const char* name, std::uint64_t got,
+                          std::uint64_t want) {
+    if (got != want) add(name, std::to_string(got), std::to_string(want));
+  };
+  if (kind != expected.kind) {
+    add("kind", store_kind_name(static_cast<StoreKind>(kind)),
+        store_kind_name(static_cast<StoreKind>(expected.kind)));
+  }
+  num("circuit", circuit, expected.circuit);
+  num("mode", mode, expected.mode);
+  num("rng_contract", rng_contract, expected.rng_contract);
+  num("seed", seed, expected.seed);
+  num("trace_count", trace_count, expected.trace_count);
+  num("samples", samples, expected.samples);
+  num("target_key_byte", target_key_byte, expected.target_key_byte);
+  num("target_bit", target_bit, expected.target_bit);
+  num("config_hash", config_hash, expected.config_hash);
+  return diff;
 }
 
 void StoreIdentity::require_compatible(const StoreIdentity& expected,
                                        const std::string& context) const {
-  if (*this == expected) return;
-  std::string diff;
-  auto field = [&diff](const char* name, std::uint64_t got,
-                       std::uint64_t want) {
-    if (got == want) return;
-    if (!diff.empty()) diff += ", ";
-    diff += std::string(name) + " " + std::to_string(got) + " != " +
-            std::to_string(want);
-  };
-  field("kind", kind, expected.kind);
-  field("circuit", circuit, expected.circuit);
-  field("mode", mode, expected.mode);
-  field("rng_contract", rng_contract, expected.rng_contract);
-  field("seed", seed, expected.seed);
-  field("trace_count", trace_count, expected.trace_count);
-  field("samples", samples, expected.samples);
-  field("target_key_byte", target_key_byte, expected.target_key_byte);
-  field("target_bit", target_bit, expected.target_bit);
-  field("config_hash", config_hash, expected.config_hash);
+  const std::string diff = differences(expected);
+  if (diff.empty()) return;
   throw StoreMismatch(context + ": store fingerprint mismatch (" + diff +
                       ") — this store was captured under a different "
                       "campaign configuration");

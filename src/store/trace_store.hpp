@@ -1,8 +1,8 @@
 // Capture-once, replay-many trace store (docs/STORE.md): a CRC'd,
 // chunked, columnar `SLMTRC1` file holding one campaign's sensor
 // readings, plaintexts and ciphertexts, framed by the same
-// `common/binio` envelope as `SLMCKPT1` checkpoints and `SLMSNAP1`
-// snapshots. The header carries a fingerprint of
+// `common/binio` envelope as `SLMSNAP1` checkpoints and snapshots.
+// The header carries a fingerprint of
 // (seed, rng_contract, trace_count, attack/sensor config hash) so a
 // replayed attack refuses stores captured under a different campaign,
 // and the readings column is 8-byte aligned in the file so the mmap
@@ -25,8 +25,7 @@
 namespace slm::store {
 
 /// `SLMTRC1` wire magic: seven ASCII characters NUL-padded to the
-/// envelope's eight bytes (siblings `SLMCKPT1`/`SLMSNAP1` use all
-/// eight).
+/// envelope's eight bytes (the sibling `SLMSNAP1` uses all eight).
 inline constexpr char kStoreMagic[] = "SLMTRC1";
 
 /// `SLMTRC1` wire version.
@@ -56,10 +55,11 @@ enum class StoreKind : std::uint8_t {
 
 const char* store_kind_name(StoreKind k);
 
-/// The campaign fingerprint stamped into every store header. Two
-/// captures agree on every reading iff their identities agree (the
-/// capturing thread count is recorded informationally only). Stores
-/// stamped with the retired contract v1 no longer match any campaign.
+/// The campaign fingerprint stamped into every store header and every
+/// `SLMSNAP1` checkpoint or snapshot. Two captures agree on every
+/// reading iff their identities agree (the capturing thread count is
+/// recorded informationally only). Files stamped with the retired
+/// contract v1 no longer match any campaign.
 struct StoreIdentity {
   std::uint8_t kind = 0;          ///< StoreKind
   std::uint8_t circuit = 0;       ///< core::BenignCircuit value
@@ -83,6 +83,12 @@ struct StoreIdentity {
   bool operator!=(const StoreIdentity& other) const {
     return !(*this == other);
   }
+
+  /// Every field that differs from `expected`, as "name got != want"
+  /// joined by ", "; empty when the identities agree. The one campaign
+  /// check behind store replay, resume and snapshot merging — each
+  /// caller throws its own error type around it.
+  std::string differences(const StoreIdentity& expected) const;
 
   /// Throws StoreMismatch naming every differing field.
   void require_compatible(const StoreIdentity& expected,

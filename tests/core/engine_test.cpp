@@ -1,20 +1,21 @@
 // The one capture engine against the per-trace reference oracle
 // (reference_campaign.hpp): every engine path — serial, sharded on 2-4
-// threads, fabric ranges merged, halted and resumed — must reproduce the
-// oracle bit for bit for every sensor mode, with and without the active
-// fence, at block sizes 1, 7 and 64. And every path must emit the same
-// observability vocabulary.
+// threads, fabric ranges merged, halted under one thread count and
+// resumed under another — must reproduce the oracle bit for bit for
+// every sensor mode, with and without the active fence, at block sizes
+// 1, 7 and 64. And every path must emit the same observability
+// vocabulary.
 #include <cstring>
 #include <filesystem>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/checkpoint.hpp"
 #include "core/fabric.hpp"
 #include "core/parallel.hpp"
 #include "obs/observer.hpp"
@@ -152,16 +153,20 @@ TEST_P(EngineVsOracle, EveryPathBitIdentical) {
     expect_engine(fold_snapshot_byte(merged, cfg.target_key_byte),
                   ref.engines[0], "fabric split " + std::to_string(splits));
   }
-  for (const unsigned threads : {1u, 3u}) {
+  // Halt under one thread count, resume under another.
+  for (const auto& [halt_threads, resume_threads] :
+       {std::pair{1u, 3u}, std::pair{3u, 1u}}) {
     CampaignConfig c = cfg;
     c.checkpoint_dir = fresh_dir("engine_resume");
     c.halt_after_traces = 250;
-    EXPECT_THROW((void)run(threads, c), CampaignHalted);
+    EXPECT_THROW((void)run(halt_threads, c), CampaignHalted);
     c.halt_after_traces = 0;
     c.resume = true;
-    const CampaignResult resumed = run(threads, c);
+    const CampaignResult resumed = run(resume_threads, c);
     EXPECT_EQ(resumed.resumed_from, 250u);
-    expect_byte_result(resumed, ref, "resumed " + std::to_string(threads));
+    expect_byte_result(resumed, ref,
+                       "halted at " + std::to_string(halt_threads) +
+                           ", resumed at " + std::to_string(resume_threads));
     std::filesystem::remove_all(c.checkpoint_dir);
   }
 }

@@ -18,7 +18,6 @@
 
 #include "common/error.hpp"
 #include "core/campaign.hpp"
-#include "core/checkpoint.hpp"
 #include "core/setup.hpp"
 #include "sca/cpa.hpp"
 
@@ -120,7 +119,16 @@ TEST(SnapshotIoTest, RoundTripAndNegativePaths) {
   EXPECT_TRUE(loaded.id == written.id);
   EXPECT_EQ(loaded.ranges, written.ranges);
   EXPECT_EQ(loaded.accumulator, written.accumulator);
+  EXPECT_TRUE(loaded.progress.empty());  // workers write no progress
   EXPECT_EQ(loaded.source, path);
+
+  // A checkpoint's progress section round-trips byte for byte.
+  AccumulatorSnapshot with_progress = written;
+  with_progress.progress = {1, 2, 3, 0xfe, 0xff};
+  save_snapshot(dir + "/progress.snap", with_progress);
+  const AccumulatorSnapshot reloaded = load_snapshot(dir + "/progress.snap");
+  EXPECT_EQ(reloaded.progress, with_progress.progress);
+  EXPECT_EQ(reloaded.accumulator, written.accumulator);
 
   // Missing file: clean SnapshotFormatError, not a generic I/O failure.
   EXPECT_THROW(load_snapshot(dir + "/absent.snap"), SnapshotFormatError);
@@ -144,7 +152,7 @@ TEST(SnapshotIoTest, RoundTripAndNegativePaths) {
   }
   EXPECT_THROW(load_snapshot(dir + "/crc.snap"), SnapshotFormatError);
 
-  // Wrong magic: a checkpoint-style file is not a snapshot.
+  // Wrong magic: a foreign file is not a snapshot.
   std::vector<std::uint8_t> foreign = bytes;
   foreign[0] ^= 0xff;
   {
@@ -287,6 +295,14 @@ TEST(FabricMergeTest, MismatchedAndOverlappingPartsAreRejected) {
   const AccumulatorSnapshot wrong_mode =
       run_worker(tdcbit, false, {200, 400}, dir + "/mode.snap");
   EXPECT_THROW(merge_snapshots({a, wrong_mode}), SnapshotMismatch);
+
+  // The active fence changes every reading: a fenced part never merges
+  // with an unfenced one.
+  CampaignConfig fenced = cfg;
+  fenced.fence.random_current_a = 0.02;
+  const AccumulatorSnapshot with_fence =
+      run_worker(fenced, false, {200, 400}, dir + "/fence.snap");
+  EXPECT_THROW(merge_snapshots({a, with_fence}), SnapshotMismatch);
 
   // The same snapshot twice is an overlap, never a silent double-count.
   EXPECT_THROW(merge_snapshots({a, b, a}), SnapshotRangeError);

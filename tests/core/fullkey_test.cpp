@@ -7,7 +7,6 @@
 // only ever change WHEN a byte's answer is frozen, never what the
 // accumulators contain. See docs/FULLKEY.md.
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,7 +15,7 @@
 #include "common/error.hpp"
 #include "core/attack.hpp"
 #include "core/campaign.hpp"
-#include "core/checkpoint.hpp"
+#include "core/snapshot.hpp"
 #include "core/parallel.hpp"
 #include "core/setup.hpp"
 
@@ -168,24 +167,20 @@ TEST(FullKeyFused, SnapshotIdentityChecks) {
   cfg.halt_after_traces = 250;
   EXPECT_THROW(run_fused(cfg, 2), CampaignHalted);
 
-  // Same snapshot, single-byte engine: fullkey flag mismatch.
+  // Same snapshot, single-byte engine: campaign kind mismatch.
   cfg.halt_after_traces = 0;
   cfg.resume = true;
   {
     AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
     ParallelCampaign campaign(setup, cfg, 2);
-    EXPECT_THROW(campaign.run(), slm::Error);
-  }
-  // A snapshot stamped with the retired contract v1: typed mismatch,
-  // the exit-code-6 path in the CLI.
-  {
-    std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
-    ASSERT_TRUE(ck.has_value());
-    ck->rng_contract = 1;
-    save_checkpoint(dir, *ck);
-    AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
-    ParallelCampaign campaign(setup, cfg, 2);
-    EXPECT_THROW(campaign.run_fullkey(), CheckpointContractMismatch);
+    try {
+      (void)campaign.run();
+      ADD_FAILURE() << "a byte campaign resumed a full-key checkpoint";
+    } catch (const slm::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("kind full-key != byte-campaign"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,15 +1,14 @@
 // Crash-safe checkpoint/resume: kill a campaign at a checkpoint, resume
 // it, and require results bit-identical to the uninterrupted run — the
 // acceptance criterion of the checkpointing subsystem, for both the
-// serial and the sharded campaign.
-#include "core/checkpoint.hpp"
+// serial and the sharded campaign, across thread counts.
+#include "core/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +36,9 @@ CampaignConfig small_cfg(SensorMode mode, std::size_t traces) {
   return cfg;
 }
 
-CampaignResult run_serial(const CampaignConfig& cfg) {
-  AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+CampaignResult run_serial(const CampaignConfig& cfg,
+                          BenignCircuit circuit = BenignCircuit::kAlu) {
+  AttackSetup setup(circuit, Calibration::paper_defaults());
   CpaCampaign campaign(setup, cfg);
   return campaign.run();
 }
@@ -93,59 +93,6 @@ TEST(BinIoTest, Crc32KnownVector) {
   EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(s), 9), 0xcbf43926u);
 }
 
-TEST(CheckpointFileTest, MissingFileIsFreshStart) {
-  EXPECT_FALSE(load_checkpoint(fresh_dir("ckpt_missing")).has_value());
-}
-
-TEST(CheckpointFileTest, RoundTripAndCorruptionDetection) {
-  const std::string dir = fresh_dir("ckpt_roundtrip");
-  CampaignCheckpoint ck;
-  ck.seed = 0xc0ffee;
-  ck.total_traces = 1000;
-  ck.mode = 2;
-  ck.shards = 1;
-  ck.samples = 7;
-  ck.traces_done = 350;
-  CheckpointShard sh;
-  sh.position = 350;
-  sh.rng = {1, 2, 3, 4};
-  sh.accumulator = {9, 8, 7};
-  ck.shard_state.push_back(sh);
-  sca::CpaProgressPoint p;
-  p.traces = 100;
-  p.max_abs_corr = {0.25, 0.5};
-  ck.progress.push_back(p);
-
-  const std::size_t bytes = save_checkpoint(dir, ck);
-  EXPECT_GT(bytes, 0u);
-
-  const auto loaded = load_checkpoint(dir);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->seed, ck.seed);
-  EXPECT_EQ(loaded->traces_done, 350u);
-  ASSERT_EQ(loaded->shard_state.size(), 1u);
-  EXPECT_EQ(loaded->shard_state[0].rng, (std::array<std::uint64_t, 4>{1, 2, 3, 4}));
-  EXPECT_EQ(loaded->shard_state[0].accumulator,
-            (std::vector<std::uint8_t>{9, 8, 7}));
-  ASSERT_EQ(loaded->progress.size(), 1u);
-  EXPECT_EQ(loaded->progress[0].max_abs_corr,
-            (std::vector<double>{0.25, 0.5}));
-
-  // Flip one payload byte: the CRC must catch it.
-  const std::string path = checkpoint_file(dir);
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(30);
-  char c = 0;
-  f.seekg(30);
-  f.read(&c, 1);
-  c = static_cast<char>(c ^ 0x40);
-  f.seekp(30);
-  f.write(&c, 1);
-  f.close();
-  EXPECT_THROW((void)load_checkpoint(dir), slm::Error);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(ResumeTest, SerialKillAtCheckpointResumesBitExact) {
   const std::string dir = fresh_dir("ckpt_serial");
   auto cfg = small_cfg(SensorMode::kTdcFull, 500);
@@ -197,8 +144,8 @@ TEST(ResumeTest, SerialBenignHwWithFenceResumesBitExact) {
 // The trace-block size tiles the capture loop but never shifts a
 // checkpoint: a run killed and resumed under block 7 (which divides
 // neither the 200-trace halt nor the trace budget) must match an
-// uninterrupted block-64 run bit for bit — the header records the block
-// informationally and resume deliberately does not require it to match.
+// uninterrupted block-64 run bit for bit — the block is not part of the
+// campaign identity.
 TEST(ResumeTest, BlockSizeSurvivesKillResumeBitExact) {
   const std::string dir = fresh_dir("ckpt_block");
   auto cfg = small_cfg(SensorMode::kBenignHw, 500);
@@ -210,12 +157,8 @@ TEST(ResumeTest, BlockSizeSurvivesKillResumeBitExact) {
   cfg.checkpoint_dir = dir;
   cfg.halt_after_traces = 200;
   EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
-  {
-    const auto ck = load_checkpoint(dir);
-    ASSERT_TRUE(ck.has_value());
-    EXPECT_EQ(ck->block, 7u);
-    EXPECT_EQ(ck->traces_done, 200u);
-  }
+  EXPECT_EQ(load_snapshot(checkpoint_file(dir)).ranges,
+            (std::vector<TraceRange>{{0, 200}}));
 
   cfg.halt_after_traces = 0;
   cfg.resume = true;
@@ -272,6 +215,7 @@ TEST(ResumeTest, ResumingTwiceAfterTwoKillsStillBitExact) {
 TEST(ResumeTest, MismatchedConfigurationRefusesToResume) {
   const std::string dir = fresh_dir("ckpt_mismatch");
   auto cfg = small_cfg(SensorMode::kTdcFull, 500);
+  const auto uninterrupted = run_serial(cfg);
   cfg.checkpoint_dir = dir;
   cfg.halt_after_traces = 200;
   EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
@@ -279,59 +223,90 @@ TEST(ResumeTest, MismatchedConfigurationRefusesToResume) {
   cfg.halt_after_traces = 0;
   cfg.resume = true;
 
+  const auto refused = [&](const CampaignConfig& c, const char* field,
+                           BenignCircuit circuit = BenignCircuit::kAlu) {
+    try {
+      (void)run_serial(c, circuit);
+      ADD_FAILURE() << "resume accepted a checkpoint of another campaign ("
+                    << field << ")";
+    } catch (const CampaignHalted&) {
+      ADD_FAILURE() << "halted instead of refusing (" << field << ")";
+    } catch (const slm::Error& e) {
+      // The one identity check names the field and the file.
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(checkpoint_file(dir)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
   auto wrong_seed = cfg;
   wrong_seed.seed ^= 1;
-  EXPECT_THROW((void)run_serial(wrong_seed), slm::Error);
+  refused(wrong_seed, "seed");
 
   auto wrong_budget = cfg;
   wrong_budget.traces = 600;
   wrong_budget.checkpoints = {100, 200, 350, 600};
-  EXPECT_THROW((void)run_serial(wrong_budget), slm::Error);
+  refused(wrong_budget, "trace_count");
 
-  // A snapshot taken serially cannot seed a 3-shard run.
-  EXPECT_THROW((void)run_parallel(cfg, 3), slm::Error);
+  refused(cfg, "circuit", BenignCircuit::kC6288x2);
 
-  // Nor can one stamped by the retired reference kernel path.
-  std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
-  ASSERT_TRUE(ck.has_value());
-  ck->compiled = false;
-  save_checkpoint(dir, *ck);
-  EXPECT_THROW((void)run_serial(cfg), slm::Error);
+  auto fenced = cfg;
+  fenced.fence.random_current_a = 0.02;
+  refused(fenced, "config_hash");
+
+  auto top_k = cfg;
+  top_k.selection_top_k = 8;
+  refused(top_k, "config_hash");
+
+  // The same sample count, shifted in time.
+  auto shifted = cfg;
+  const double ts = Calibration::paper_defaults().sensor_sample_period_ns();
+  shifted.window_start_ns += ts;
+  shifted.window_end_ns += ts;
+  {
+    AttackSetup setup(BenignCircuit::kAlu, Calibration::paper_defaults());
+    ASSERT_EQ(CpaCampaign(setup, shifted).sample_times_ns().size(),
+              CpaCampaign(setup, cfg).sample_times_ns().size());
+  }
+  refused(shifted, "config_hash");
+
+  // Thread count is not part of the identity: the serial checkpoint
+  // holds the merged sums, so three shards continue it bit-exactly.
+  const auto resumed = run_parallel(cfg, 3);
+  EXPECT_EQ(resumed.resumed_from, 200u);
+  EXPECT_EQ(resumed.threads_used, 3u);
+  expect_bit_identical(uninterrupted, resumed);
   std::filesystem::remove_all(dir);
 }
 
-// A snapshot stamped with the retired RNG contract v1 must refuse to
-// continue: its trace streams differ from v2's from the first draw, so a
-// silent resume would diverge. The refusal is the dedicated
-// CheckpointContractMismatch error (the CLI maps it to exit code 6).
-TEST(ResumeTest, V1StampedSnapshotRefused) {
-  const std::string dir = fresh_dir("ckpt_contract");
+// A checkpoint in the retired SLMCKPT1 format is refused, naming the
+// file; nothing migrates it.
+TEST(ResumeTest, RetiredCheckpointFormatRefusedByName) {
+  const std::string dir = fresh_dir("ckpt_retired");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream os(checkpoint_file(dir), std::ios::binary);
+    os << "SLMCKPT1" << std::string(64, '\x04');
+  }
   auto cfg = small_cfg(SensorMode::kTdcFull, 500);
   cfg.checkpoint_dir = dir;
-  cfg.halt_after_traces = 200;
-  EXPECT_THROW((void)run_serial(cfg), CampaignHalted);
-  std::optional<CampaignCheckpoint> ck = load_checkpoint(dir);
-  ASSERT_TRUE(ck.has_value());
-  EXPECT_EQ(ck->rng_contract, 2u);
-
-  cfg.halt_after_traces = 0;
   cfg.resume = true;
-  ck->rng_contract = 1;
-  save_checkpoint(dir, *ck);
-  EXPECT_THROW((void)run_serial(cfg), CheckpointContractMismatch);
-  EXPECT_THROW((void)run_parallel(cfg, 1), CheckpointContractMismatch);
-
-  ck->rng_contract = 2;
-  save_checkpoint(dir, *ck);
-  const auto resumed = run_serial(cfg);
-  EXPECT_EQ(resumed.resumed_from, 200u);
+  try {
+    (void)run_serial(cfg);
+    ADD_FAILURE() << "an SLMCKPT1 checkpoint was resumed";
+  } catch (const slm::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(checkpoint_file(dir)),
+              std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 
 // Under v2 the snapshot carries no stream state at all: a run killed
-// under one thread count / block tiling and resumed under ANOTHER block
-// still reproduces the uninterrupted run bit for bit (thread count must
-// still match — shard accumulator sums are per-shard).
+// under one block tiling and resumed under ANOTHER block still
+// reproduces the uninterrupted run bit for bit.
 TEST(ResumeTest, V2KillResumeAcrossBlockSizesBitExact) {
   const std::string dir = fresh_dir("ckpt_v2_block");
   auto cfg = small_cfg(SensorMode::kBenignHw, 500);

@@ -428,9 +428,12 @@ TEST(ServeDaemonTest, KilledDaemonResumesBitExactlyOnRestart) {
   }
   EXPECT_GT(unfinished, 0u);
 
-  // Restart over the same directories: recovery re-admits every
-  // unfinished job at its checkpoint and drains.
+  // Restart over the same directories, on another thread count:
+  // recovery re-admits every unfinished job at its checkpoint and
+  // drains (a checkpoint holds merged sums, so any thread count resumes
+  // it).
   ServeOptions again = base_options(spool, results);
+  again.threads = 3;
   again.timeslice_traces = 400;
   const ServeReport resumed = serve(again);
   EXPECT_EQ(resumed.jobs_recovered, unfinished);
@@ -441,6 +444,49 @@ TEST(ServeDaemonTest, KilledDaemonResumesBitExactlyOnRestart) {
     EXPECT_EQ(slurp(results + "/" + id + "/result.json"),
               slurp(results_ref + "/" + id + "/result.json"))
         << id;
+  }
+}
+
+// A job whose checkpoint cannot be read (here a garbage file in the
+// retired SLMCKPT1 format) fails on restart with an error naming the
+// file; the daemon survives and the other jobs drain.
+TEST(ServeDaemonTest, UnreadableCheckpointFailsItsJobOnly) {
+  const std::string spool = fresh_dir("serve_badck_spool");
+  const std::string results = fresh_dir("serve_badck_results");
+  submit_three_tenants(spool);
+  ServeOptions opt = base_options(spool, results);
+  opt.timeslice_traces = 400;
+  opt.max_slices = 2;
+  const ServeReport killed = serve(opt);
+  ASSERT_TRUE(killed.halted);
+
+  std::string victim;
+  for (const auto& id : {"job_a", "job_b"}) {
+    const std::string ckpt = results + "/" + id + "/ckpt/campaign.ckpt";
+    if (std::filesystem::exists(ckpt) &&
+        !std::filesystem::exists(results + "/" + id + "/result.json")) {
+      victim = id;
+      std::ofstream os(ckpt, std::ios::binary | std::ios::trunc);
+      os << "SLMCKPT1" << std::string(40, '\x5a');
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.empty()) << "no job was preempted with a checkpoint";
+
+  ServeOptions again = base_options(spool, results);
+  again.timeslice_traces = 400;
+  const ServeReport rep = serve(again);
+  EXPECT_FALSE(rep.halted);
+  EXPECT_EQ(rep.jobs_failed, 1u);
+  EXPECT_EQ(killed.jobs_completed + rep.jobs_completed, 2u);
+
+  const std::string failed = slurp(results + "/" + victim + "/result.json");
+  EXPECT_NE(failed.find("\"failed\":true"), std::string::npos) << failed;
+  EXPECT_NE(failed.find("campaign.ckpt"), std::string::npos) << failed;
+  for (const auto& id : kJobIds) {
+    if (id == victim) continue;
+    const std::string done = slurp(results + "/" + id + "/result.json");
+    EXPECT_EQ(done.find("\"failed\""), std::string::npos) << id << done;
   }
 }
 

@@ -99,25 +99,26 @@ foreach(m ${doc_metrics})
   endif()
 endforeach()
 
-# 5. The checkpoint format version documented in OBSERVABILITY.md and
-#    FULLKEY.md must match kCheckpointVersion in src/core/checkpoint.hpp
-#    — bumping the binary format without re-documenting it (or vice
-#    versa) fails here.
-file(READ ${REPO}/src/core/checkpoint.hpp ckpthdr)
-string(REGEX MATCH "kCheckpointVersion = ([0-9]+)" _ "${ckpthdr}")
-set(ckpt_version "${CMAKE_MATCH_1}")
-if(ckpt_version STREQUAL "")
-  string(APPEND errors "cannot find kCheckpointVersion in src/core/checkpoint.hpp\n")
+# 5. The SLMSNAP1 format version documented in OBSERVABILITY.md and
+#    FULLKEY.md must match kSnapshotVersion in src/core/snapshot.hpp
+#    (checkpoints and fabric snapshots share that one format) — bumping
+#    the binary format without re-documenting it (or vice versa) fails
+#    here.
+file(READ ${REPO}/src/core/snapshot.hpp snaphdr)
+string(REGEX MATCH "kSnapshotVersion = ([0-9]+)" _ "${snaphdr}")
+set(snap_version "${CMAKE_MATCH_1}")
+if(snap_version STREQUAL "")
+  string(APPEND errors "cannot find kSnapshotVersion in src/core/snapshot.hpp\n")
 endif()
 string(REGEX MATCHALL "format version [0-9]+" doc_versions
        "${obsdoc}\n${fullkeydoc}")
 list(REMOVE_DUPLICATES doc_versions)
 if(doc_versions STREQUAL "")
-  string(APPEND errors "OBSERVABILITY.md no longer documents the checkpoint 'format version N'\n")
+  string(APPEND errors "OBSERVABILITY.md no longer documents the SLMSNAP1 'format version N'\n")
 endif()
 foreach(v ${doc_versions})
-  if(NOT v STREQUAL "format version ${ckpt_version}")
-    string(APPEND errors "OBSERVABILITY.md/FULLKEY.md say checkpoint '${v}' but kCheckpointVersion is ${ckpt_version}\n")
+  if(NOT v STREQUAL "format version ${snap_version}")
+    string(APPEND errors "OBSERVABILITY.md/FULLKEY.md say SLMSNAP1 '${v}' but kSnapshotVersion is ${snap_version}\n")
   endif()
 endforeach()
 
@@ -196,7 +197,7 @@ endforeach()
 # 9. The campaign-as-a-service story must stay documented, and CLI.md
 #    must stay the ONE exit-code authority. SERVE.md has to cover the
 #    daemon surface (the three verbs, the spool/results protocol, the
-#    scheduling and preemption flags, the SLMCKPT1 resume mechanism,
+#    scheduling and preemption flags, the SLMSNAP1 checkpoint resume,
 #    and the slm.serve.* metric family); OBSERVABILITY.md must keep
 #    that family and the preemption event in its catalogs; CLI.md must
 #    enumerate every verb and every exit code; and no other doc may
@@ -205,7 +206,7 @@ endforeach()
 foreach(needed "slm submit" "slm serve" "slm status" "--spool" "--results"
         "--tenant" "--priority" "--queue-cap" "--max-queue" "--timeslice"
         "--max-slices" "--poll-ms" "--idle-polls" "--fabric-shards"
-        "SLMCKPT1" "serve_smoke" "serve.jsonl" "result.json")
+        "SLMSNAP1" "serve_smoke" "serve.jsonl" "result.json")
   if(NOT servedoc MATCHES "${needed}")
     string(APPEND errors "SERVE.md no longer documents '${needed}'\n")
   endif()

@@ -118,12 +118,12 @@ if(NOT garbage_out MATCHES "bad magic")
   message(FATAL_ERROR "garbage file not rejected as bad magic:\n${garbage_out}")
 endif()
 # rc 8: a shard of a DIFFERENT campaign (other trace budget) refuses to
-# merge with ours — the fingerprint mismatch path.
+# merge with ours — the identity mismatch path names the field.
 run_slm(alien_out 0 attack --circuit alu --mode tdc --traces 5000
         --key-byte 3 --range 0:1000
         --snapshot-out ${dir}/alien.snap)
 run_slm(mismatch_out 8 merge ${dir}/all.snap ${dir}/alien.snap)
-if(NOT mismatch_out MATCHES "different trace budget")
+if(NOT mismatch_out MATCHES "trace_count 5000 != 6000")
   message(FATAL_ERROR "mismatch error does not name the field:\n${mismatch_out}")
 endif()
 # rc 9: the same snapshot twice is an overlap (a silent double-count

@@ -1,10 +1,10 @@
 # End-to-end kill/resume drill for the fused full-key engine, run as a
 # ctest entry (fullkey_resume_smoke): the docs/FULLKEY.md walkthrough,
 # mechanized. A fused full-key attack is run uninterrupted, then re-run
-# with snapshots and a deterministic kill (--halt-after -> rc 5), then
-# resumed; the resumed run must print the exact same per-byte table and
-# master-key line, and the JSONL event stream must close with a run_end
-# manifest. A resume with the retired --rng-contract flag and a
+# with snapshots and a deterministic kill (--halt-after -> rc 5) on two
+# threads, then resumed on one; the resumed run must print the exact
+# same per-byte table and master-key line, and the JSONL event stream
+# must close with a run_end manifest. A resume with the retired --rng-contract flag and a
 # single-byte resume of the full-key snapshot must both be refused.
 #
 # Usage: cmake -DSLM=<slm binary> -DWORKDIR=<scratch dir> -P fullkey_resume_smoke.cmake
@@ -69,8 +69,11 @@ if(NOT single_out MATCHES "full-key")
   message(FATAL_ERROR "single-byte resume of a full-key snapshot was not refused:\n${single_out}")
 endif()
 
-# 5. Resume and run to completion (still under the odd block size).
-run_slm(res_out 0 ${common} --block 48 --resume ${ckpt_dir} --trace-out ${events})
+# 5. Resume on one thread and run to completion (still under the odd
+#    block size): the checkpoint holds merged sums, so the thread count
+#    may change.
+run_slm(res_out 0 attack --circuit alu --mode tdc --traces 4000 --full-key
+        --threads 1 --block 48 --resume ${ckpt_dir} --trace-out ${events})
 if(NOT res_out MATCHES "resumed from trace")
   message(FATAL_ERROR "resumed run did not restore the snapshot:\n${res_out}")
 endif()
@@ -98,4 +101,4 @@ endif()
 
 file(REMOVE_RECURSE ${ckpt_dir})
 file(REMOVE ${events})
-message(STATUS "fullkey resume smoke: kill at 1000/4000 under --block 48, bit-identical full-key recovery after resume")
+message(STATUS "fullkey resume smoke: kill at 1000/4000 on 2 threads under --block 48, bit-identical full-key recovery after resume on 1 thread")

@@ -1,9 +1,10 @@
 # End-to-end kill/resume drill, run as a ctest entry (resume_smoke):
 # the OBSERVABILITY.md walkthrough, mechanized. A TDC campaign is run
 # uninterrupted, then re-run with snapshots and a deterministic kill
-# (--halt-after -> rc 5), then resumed; the resumed run must print the
-# exact same recovery line, and the JSONL event stream must close with
-# a run_end manifest.
+# (--halt-after -> rc 5) on two threads, then resumed on one; the
+# resumed run must print the exact same recovery line, and the JSONL
+# event stream must close with a run_end manifest. A resume under
+# another circuit must be refused.
 #
 # Usage: cmake -DSLM=<slm binary> -DWORKDIR=<scratch dir> -P resume_smoke.cmake
 
@@ -34,13 +35,14 @@ if(ref_line STREQUAL "")
   message(FATAL_ERROR "reference run printed no recovery line:\n${ref_out}")
 endif()
 
-# 2. Same campaign, snapshotting, killed after the first checkpoint
-#    past 2000 traces. rc 5 is the documented "halted, snapshot on
-#    disk" exit code. --block 48 does not divide the 2000-trace halt or
-#    the 6000-trace budget: the block loop must still land exactly on
-#    the checkpoint (the reference run above used the default block, so
-#    the final line comparison also proves block-size invariance).
-run_slm(halt_out 5 ${common} --block 48
+# 2. Same campaign, snapshotting on two threads, killed after the first
+#    checkpoint past 2000 traces. rc 5 is the documented "halted,
+#    snapshot on disk" exit code. --block 48 does not divide the
+#    2000-trace halt or the 6000-trace budget: the block loop must still
+#    land exactly on the checkpoint (the reference run above used the
+#    default block, so the final line comparison also proves block-size
+#    invariance).
+run_slm(halt_out 5 ${common} --threads 2 --block 48
         --checkpoint-dir ${ckpt_dir} --halt-after 2000 --trace-out ${events})
 if(NOT halt_out MATCHES "campaign halted after")
   message(FATAL_ERROR "halted run did not announce the snapshot:\n${halt_out}")
@@ -50,16 +52,27 @@ if(NOT EXISTS ${ckpt_dir}/campaign.ckpt)
 endif()
 
 # 3. The retired --rng-contract flag is a usage error (rc 64) that names
-#    the flag — it never silently resumes under v2. (A snapshot stamped
-#    v1 is refused with rc 6; resume_test covers that file-level path.)
+#    the flag — it never silently resumes under v2.
 run_slm(retired_out 64 attack --circuit alu --mode tdc --traces 6000
         --key-byte 3 --rng-contract v1 --block 48 --resume ${ckpt_dir})
 if(NOT retired_out MATCHES "unknown option '--rng-contract'")
   message(FATAL_ERROR "retired --rng-contract was not refused by name:\n${retired_out}")
 endif()
 
-# 4. Resume and run to completion (still under the odd block size).
-run_slm(res_out 0 ${common} --block 48 --resume ${ckpt_dir} --trace-out ${events})
+# 3b. The checkpoint pins the campaign identity, circuit included: an
+#     ALU checkpoint resumed as a C6288 campaign is refused (rc 1),
+#     naming the differing field.
+run_slm(circuit_out 1 attack --circuit c6288 --mode tdc --traces 6000
+        --key-byte 3 --threads 1 --resume ${ckpt_dir})
+if(NOT circuit_out MATCHES "circuit 0 != 1")
+  message(FATAL_ERROR "a C6288 resume of an ALU checkpoint was not refused by field:\n${circuit_out}")
+endif()
+
+# 4. Resume on one thread and run to completion (still under the odd
+#    block size): the checkpoint holds merged sums, so the thread count
+#    may change.
+run_slm(res_out 0 ${common} --threads 1 --block 48 --resume ${ckpt_dir}
+        --trace-out ${events})
 if(NOT res_out MATCHES "resumed from trace")
   message(FATAL_ERROR "resumed run did not restore the snapshot:\n${res_out}")
 endif()
@@ -84,4 +97,4 @@ endif()
 
 file(REMOVE_RECURSE ${ckpt_dir})
 file(REMOVE ${events})
-message(STATUS "resume smoke: kill at 2000/6000 under --block 48, bit-identical recovery after resume")
+message(STATUS "resume smoke: kill at 2000/6000 on 2 threads under --block 48, bit-identical recovery after resume on 1 thread")

@@ -41,7 +41,6 @@
 #include "bitstream/checker.hpp"
 #include "common/error.hpp"
 #include "core/attack.hpp"
-#include "core/checkpoint.hpp"
 #include "core/fabric.hpp"
 #include "core/parallel.hpp"
 #include "obs/observer.hpp"
@@ -418,20 +417,18 @@ int cmd_attack(const Args& args) {
     cfg.block = opts.block;
     cfg.observer = observer.get();
     core::FabricWorker worker(fabric_attack.setup(), cfg, full_key);
-    const core::SnapshotIdentity& id = worker.identity();
+    const store::StoreIdentity& id = worker.identity();
     if (dry_run) {
       std::cout << obs::JsonWriter()
                        .field("circuit", core::benign_circuit_name(circuit))
                        .field("mode", core::sensor_mode_name(mode))
-                       .field("traces", id.total_traces)
+                       .field("traces", id.trace_count)
                        .field("seed", id.seed)
                        .field("samples", id.samples)
                        .field("target_key_byte", id.target_key_byte)
-                       .field("single_bit", id.single_bit)
-                       .field("compiled", id.compiled != 0)
                        .field("rng_contract",
                               static_cast<std::uint64_t>(id.rng_contract))
-                       .field("fullkey", id.fullkey != 0)
+                       .field("fullkey", full_key)
                        .field("fingerprint",
                               static_cast<std::uint64_t>(id.fingerprint()))
                        .field("begin", range.begin)
@@ -597,9 +594,6 @@ int cmd_attack(const Args& args) {
                 << "resume with: slm attack --full-key --resume "
                 << opts.checkpoint_dir << "\n";
       return 5;
-    } catch (const core::CheckpointContractMismatch& mismatch) {
-      std::cerr << "slm: error: " << mismatch.what() << "\n";
-      return 6;
     }
 
     if (fr.resumed_from > 0) {
@@ -658,9 +652,6 @@ int cmd_attack(const Args& args) {
               << "resume with: slm attack --resume "
               << opts.checkpoint_dir << "\n";
     return 5;
-  } catch (const core::CheckpointContractMismatch& mismatch) {
-    std::cerr << "slm: error: " << mismatch.what() << "\n";
-    return 6;
   }
 
   if (r.resumed_from > 0) {
@@ -885,15 +876,15 @@ int cmd_merge(const Args& args) {
     parts.push_back(core::load_snapshot(path));
   }
   core::AccumulatorSnapshot merged = core::merge_snapshots(parts);
-  const core::SnapshotIdentity& id = merged.id;
+  const store::StoreIdentity& id = merged.id;
 
-  core::RangeLedger ledger(id.total_traces);
+  core::RangeLedger ledger(id.trace_count);
   for (const core::TraceRange& r : merged.ranges) ledger.cover(r);
   std::printf("merged %zu snapshot(s): %llu/%llu traces covered, "
               "%zu range(s), fingerprint %08x\n",
               parts.size(),
               static_cast<unsigned long long>(ledger.covered()),
-              static_cast<unsigned long long>(id.total_traces),
+              static_cast<unsigned long long>(id.trace_count),
               merged.ranges.size(), id.fingerprint());
 
   const std::string out = args.get("out", "");
@@ -912,7 +903,7 @@ int cmd_merge(const Args& args) {
     }
     throw core::SnapshotRangeError(
         "merge --report: coverage incomplete — missing " + gaps +
-        " of " + std::to_string(id.total_traces) + " traces");
+        " of " + std::to_string(id.trace_count) + " traces");
   }
 
   // The truth to grade against: the same victim every campaign of this
@@ -921,7 +912,7 @@ int cmd_merge(const Args& args) {
   const crypto::Block true_lrk =
       attack.setup().victim().cipher().last_round_key();
 
-  if (id.fullkey != 0) {
+  if (id.kind == static_cast<std::uint8_t>(store::StoreKind::kFullKey)) {
     crypto::Block recovered_lrk{};
     bool all_ok = true;
     std::printf("byte  true  recovered  ok\n");
